@@ -6,19 +6,25 @@ and j-coefficient checks in the test suite.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .qseries import PuiseuxSeries, product_family
+# Unused here since eta is a closed form, but bench/tracer.py patches product_family in this namespace.
+from .qseries import PuiseuxSeries, product_family  # noqa: F401
 
 
 def eta(trunc) -> PuiseuxSeries:
-    """Dedekind eta: q^(1/24) * prod_{n>=1} (1 - q^n)."""
+    """Dedekind eta, q^(1/24) * prod_{n>=1} (1 - q^n), by Euler's pentagonal theorem.
+
+    The product is sum_k (-1)^k q^(k(3k-1)/2), so eta = sum_k (-1)^k q^((6k-1)^2/24):
+    the exponents are m^2/24 for m = 6j -+ 1 > 0, with sign (-1)^j, j = (m+1) // 6.
+    """
     trunc = Fraction(trunc)
     if trunc <= Fraction(1, 24):
         raise ValueError("trunc must exceed 1/24")
-    rel = trunc - Fraction(1, 24)
-    prod = product_family(((1, n, 1) for n in range(1, int(rel) + 2)), rel)
-    return PuiseuxSeries.monomial(1, Fraction(1, 24), trunc) * prod
+    m_max = math.isqrt(math.ceil(24 * trunc) - 1)  # the largest m with m^2/24 < trunc
+    terms = {m * m: Fraction((-1) ** ((m + 1) // 6)) for m in range(1, m_max + 1) if m % 6 in (1, 5)}
+    return PuiseuxSeries(24, terms, trunc)
 
 
 def theta_classical(which: int, trunc) -> PuiseuxSeries:
@@ -47,26 +53,15 @@ def theta_classical(which: int, trunc) -> PuiseuxSeries:
     raise ValueError(f"theta index must be 2, 3 or 4, got {which}")
 
 
-def _sigma(k: int, n: int) -> int:
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-        d += 1
-    return total
-
-
 def _eisenstein_weight(weight: int, constant: int, trunc) -> dict[int, Fraction]:
-    terms = {0: Fraction(1)}
-    n = 1
-    while n < trunc:
-        terms[n] = Fraction(constant * _sigma(weight - 1, n))
-        n += 1
-    return terms
+    """1 + constant * sum_{n >= 1} sigma_{weight-1}(n) q^n, the divisor sums sieved."""
+    n_max = math.ceil(trunc) - 1
+    sigma = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        power = d ** (weight - 1)
+        for n in range(d, n_max + 1, d):
+            sigma[n] += power
+    return {0: Fraction(1)} | {n: Fraction(constant * sigma[n]) for n in range(1, n_max + 1)}
 
 
 def eisenstein(which: str, trunc) -> PuiseuxSeries:

@@ -262,6 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Bind "--point VALUE" as "--point=VALUE", so values like -0.3+1i or -1/2:0 are not read as options.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--point", "--char"):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

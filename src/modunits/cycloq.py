@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import zip_longest
+from math import lcm
 
 
 class CyclotomicDivisionError(ZeroDivisionError):
@@ -17,14 +18,25 @@ class CyclotomicDivisionError(ZeroDivisionError):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
-    """Coefficients of the order-th cyclotomic polynomial, ascending, monic."""
+    """Coefficients of the order-th cyclotomic polynomial, ascending, monic.
+
+    x^order - 1 is the product of Phi_d over the divisors d of order, so
+    Phi_order is its exact quotient by Phi_d for every proper divisor d.
+    """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    from sympy import Poly, cyclotomic_poly, symbols
-
-    x = symbols("x")
-    coeffs = Poly(cyclotomic_poly(order, x), x).all_coeffs()
-    return tuple(int(c) for c in reversed(coeffs))
+    poly = [-1] + [0] * (order - 1) + [1]
+    for d in range(1, order):
+        if order % d == 0:
+            den = cyclotomic_polynomial(d)
+            dd = len(den) - 1
+            quo = [0] * (len(poly) - dd)
+            for k in range(len(quo) - 1, -1, -1):
+                c = quo[k] = poly[k + dd]
+                for i in range(dd + 1):
+                    poly[k + i] -= c * den[i]
+            poly = quo
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +118,7 @@ class Cyclotomic:
             return None
         if self.order == other.order:
             return self.order, list(self.coeffs), list(other.coeffs)
-        m = self.order * other.order // gcd(self.order, other.order)
+        m = lcm(self.order, other.order)
         return m, self.lifted_coeffs(m), other.lifted_coeffs(m)
 
     def __add__(self, other):
@@ -140,13 +152,7 @@ class Cyclotomic:
         m, a, b = pair
         if m == 1:
             return Cyclotomic(1, [a[0] * b[0]])
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclotomic(m, prod)
+        return Cyclotomic(m, _poly_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -182,14 +188,11 @@ class Cyclotomic:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        elif not isinstance(other, Cyclotomic):
+        pair = self._coerce_pair(other)
+        if pair is None:
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        m = self.order * other.order // gcd(self.order, other.order)
-        return self.lifted_coeffs(m) == other.lifted_coeffs(m)
+        _, a, b = pair
+        return a == b
 
     def __hash__(self):
         if self.order == 1:
@@ -241,7 +244,7 @@ def _poly_modular_inverse(a: list[Fraction], modulus: list[Fraction]) -> list[Fr
         q, rem = divmod_poly(r0, r1)
         r0, r1 = r1, rem
         qs1 = _poly_mul(q, s1)
-        s0, s1 = s1, [x - y for x, y in _zip_pad(s0, qs1)]
+        s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs1, fillvalue=Fraction(0))]
     if degree(r1) < 0:
         raise CyclotomicDivisionError("element is not invertible")
     c = r1[0]
@@ -256,13 +259,6 @@ def _poly_mul(a, b):
                 if y:
                     out[i + j] += x * y
     return out
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
 
 
 def e_of(x) -> Cyclotomic:

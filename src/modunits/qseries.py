@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb, gcd
+from math import ceil, comb, lcm
 
 from .cycloq import Cyclotomic
 
@@ -19,10 +19,6 @@ class TruncationError(ValueError):
 
 class WeightMismatchError(ValueError):
     """Adding series with different (2*pi*i)-powers is meaningless."""
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _as_coeff(c) -> Cyclotomic:
@@ -117,7 +113,7 @@ class PuiseuxSeries:
             raise WeightMismatchError(
                 f"(2 pi i)-powers differ: {self.two_pi_i_power} vs {other.two_pi_i_power}"
             )
-        d = _lcm(self.denom, other.denom)
+        d = lcm(self.denom, other.denom)
         terms = self._rescaled(d)
         for k, c in other._rescaled(d).items():
             terms[k] = terms.get(k, Cyclotomic.zero()) + c
@@ -151,7 +147,7 @@ class PuiseuxSeries:
             return self.scaled(other)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        d = _lcm(self.denom, other.denom)
+        d = lcm(self.denom, other.denom)
         a = self._rescaled(d)
         b = other._rescaled(d)
         trunc = min(self.trunc + other.ord(), other.trunc + self.ord())
@@ -177,7 +173,7 @@ class PuiseuxSeries:
         d = self.denom
         v = min(self.terms)  # ord * d
         rel_prec = self.trunc * d - v  # known relative lattice length
-        n_steps = int(rel_prec)  # rel_prec need not be integral; floor is safe
+        n_steps = ceil(rel_prec)  # every lattice step k < rel_prec is known
         a = {k - v: c for k, c in self.terms.items()}
         a0_inv = a[0].inverse()
         b: dict[int, Cyclotomic] = {0: a0_inv}

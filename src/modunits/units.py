@@ -140,32 +140,33 @@ def wp_expansion(v: FracVector, trunc) -> PuiseuxSeries:
         raise ValueError("index vector must lie outside Z^2")
     r, s = v.r, v.s
     trunc = Fraction(trunc)
-    series = PuiseuxSeries.monomial(Fraction(1, 12), 0, trunc, two_pi_i_power=2)
+    D, a = r.denominator, r.numerator
+    bound = trunc * D
+    terms = {0: Cyclotomic.from_rational(Fraction(1, 12))}  # key k stands for q^(k/D)
 
-    def geom_terms(exponent: Fraction, zeta: Cyclotomic):
-        # u/(1-u)^2 = sum_{k>=1} k u^k with u = q^exponent * zeta
-        out = PuiseuxSeries.zero(trunc, two_pi_i_power=2)
-        k = 1
-        zk = zeta
-        while k * exponent < trunc:
-            out = out + PuiseuxSeries.monomial(zk * k, k * exponent, trunc, two_pi_i_power=2)
+    def add_geometric(step, zeta, scale=1):
+        # scale * u/(1-u)^2 = scale * sum_{k>=1} k u^k with u = q^(step/D) * zeta
+        k, zk = 1, zeta
+        while k * step < bound:
+            c = zk * (scale * k)
+            terms[k * step] = terms[k * step] + c if k * step in terms else c
             k += 1
             zk = zk * zeta
-        return out
 
     if r == 0:
         w = e_of(s)
-        const = w / (Cyclotomic.one() - w) ** 2
-        series = series + PuiseuxSeries.monomial(const, 0, trunc, two_pi_i_power=2)
+        terms[0] = terms[0] + w / (Cyclotomic.one() - w) ** 2
     else:
-        series = series + geom_terms(r, e_of(s))
+        add_geometric(a, e_of(s))
     n = 1
     while n - r < trunc:
-        series = series + geom_terms(n + r, e_of(s))
-        series = series + geom_terms(n - r, e_of(-s))
-        series = series - geom_terms(Fraction(n), Cyclotomic.one()).scaled(2)
+        add_geometric(n * D + a, e_of(s))
+        add_geometric(n * D - a, e_of(-s))
+        add_geometric(n * D, Cyclotomic.one(), -2)
         n += 1
-    return series
+    # The lattice is the coarsest one holding every exponent inserted.
+    g = math.gcd(D, *terms)
+    return PuiseuxSeries(D // g, {k // g: c for k, c in terms.items()}, trunc, two_pi_i_power=2)
 
 
 def wp_lattice_sum(v: FracVector, tau: complex, m_max: int = 200) -> complex:

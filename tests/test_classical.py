@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from modunits.classical import discriminant, eisenstein, eta, j_function, theta_classical
+from modunits.qseries import PuiseuxSeries, product_family
 
 
 def sigma(k, n):
@@ -25,6 +27,12 @@ class TestEta:
     def test_trunc_too_small_rejected(self):
         with pytest.raises(ValueError):
             eta(F(1, 48))
+
+    @pytest.mark.parametrize("trunc", [F(1, 12), 1, F(7, 3), 10, F(121, 24), F(97, 2)])
+    def test_matches_product_form(self, trunc):
+        rel = trunc - F(1, 24)
+        prod = product_family([(1, n, 1) for n in range(1, int(rel) + 2)], rel)
+        assert eta(trunc) == PuiseuxSeries.monomial(1, F(1, 24), trunc) * prod
 
 
 class TestTheta:
@@ -76,6 +84,14 @@ class TestEisenstein:
         for n in range(1, 8):
             assert g3.coefficient(n) == F(504 * sigma(5, n), 216)
 
+    @pytest.mark.parametrize("trunc", [F(1, 2), 1, F(37, 3), 60])
+    def test_matches_trial_division_sigma(self, trunc):
+        for name, weight, scale in (("g2", 4, F(240, 12)), ("g3", 6, F(504, 216))):
+            series = eisenstein(name, trunc)
+            assert series.exponents() == list(range(math.ceil(trunc)))
+            for n in range(1, math.ceil(trunc)):
+                assert series.coefficient(n) == scale * sigma(weight - 1, n)
+
 
 class TestDiscriminant:
     def test_weight_and_order(self):
@@ -103,6 +119,12 @@ class TestJ:
     def test_rational_coefficients(self):
         j = j_function(6)
         assert all(j.coefficient(e).is_rational() for e in j.exponents())
+
+    @pytest.mark.parametrize("trunc", [F(11, 2), F(13, 3), 5])
+    def test_off_lattice_trunc_agrees_with_higher_trunc(self, trunc):
+        j = j_function(trunc)
+        assert j.trunc == trunc
+        assert j == j_function(8).truncated_to(trunc)
 
 
 class TestThetaIdentities:

@@ -122,6 +122,17 @@ class TestTheta:
         code, _, _ = run(capsys, "theta", "--g", "1", "--char", "0:0", "--point", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, value, rest",
+        [("--point", "-0.3+1i", ["--char", "0:0"]), ("--char", "-1/2:0", ["--point", "1i"])],
+    )
+    def test_negative_value_after_space(self, capsys, option, value, rest):
+        code, out, _ = run(capsys, "theta", "--g", "1", *rest, option, value)
+        assert code == 0
+        code_eq, out_eq, _ = run(capsys, "theta", "--g", "1", *rest, f"{option}={value}")
+        assert code_eq == 0
+        assert out == out_eq
+
 
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from modunits.cycloq import Cyclotomic, CyclotomicDivisionError, e_of
+import modunits
+from modunits.cycloq import Cyclotomic, CyclotomicDivisionError, cyclotomic_polynomial, e_of
 
 
 def test_e_of_half_turn():
@@ -81,3 +86,26 @@ def test_constant_shrinks_to_rational():
 def test_to_complex():
     val = e_of(F(1, 8)).to_complex()
     assert abs(val - complex(2**-0.5, 2**-0.5)) < 1e-14
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in range(1, 301):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
+
+
+def test_runtime_does_not_import_sympy():
+    """Import, cyclotomic arithmetic and a rational series all run without sympy."""
+    code = (
+        "import sys\n"
+        "import modunits\n"
+        "from fractions import Fraction\n"
+        "(modunits.e_of(Fraction(1, 35)) + 2) ** 3\n"
+        "modunits.j_function(6)\n"
+        "sys.exit('sympy' in sys.modules)\n"
+    )
+    paths = [str(Path(modunits.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

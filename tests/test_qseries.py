@@ -62,6 +62,26 @@ def test_inverse_of_one_minus_q():
         assert inv.coefficient(k) == 1
 
 
+@pytest.mark.parametrize(
+    "denom, terms, trunc",
+    [
+        (1, {0: 1, 1: 1}, 6),
+        (1, {0: 1, 1: 1}, F(11, 2)),
+        (2, {1: 3, 2: -1, 5: 2}, F(17, 4)),
+        (3, {-2: 1, 1: F(1, 2), 4: 5}, F(10, 3)),
+        (3, {-2: 1, 1: F(1, 2), 4: 5}, F(7, 2)),
+        (1, {0: Cyclotomic(5, [0, 1]), 1: 1, 2: Cyclotomic(3, [1, 2])}, F(9, 2)),
+    ],
+)
+def test_inverse_round_trip_to_claimed_trunc(denom, terms, trunc):
+    s = PuiseuxSeries(denom, terms, trunc)
+    inv = s.inverse()
+    assert inv.trunc == trunc - 2 * s.ord()
+    prod = s * inv
+    assert prod.trunc == trunc - s.ord()
+    assert (prod - 1).is_zero()
+
+
 def test_eta_inverse_round_trip():
     e = eta(50)
     prod = e * e.inverse()
