@@ -13,18 +13,30 @@ from fractions import Fraction
 from .qseries import PuiseuxSeries, product_family  # noqa: F401
 
 
-def eta(trunc) -> PuiseuxSeries:
-    """Dedekind eta, q^(1/24) * prod_{n>=1} (1 - q^n), by Euler's pentagonal theorem.
+def pentagonal_terms(trunc) -> dict[int, Fraction]:
+    """prod_{n>=1} (1 - q^n) below q^trunc on denom 1, exponent -> coefficient, by Euler's pentagonal theorem.
 
-    The product is sum_k (-1)^k q^(k(3k-1)/2), so eta = sum_k (-1)^k q^((6k-1)^2/24):
-    the exponents are m^2/24 for m = 6j -+ 1 > 0, with sign (-1)^j, j = (m+1) // 6.
+    It is sum_k (-1)^k q^(k(3k-1)/2), and the exponents increase along k = 0, 1, -1, 2, -2, ...
+    """
+    bound = math.ceil(trunc)  # the exponents are integers
+    terms = {}
+    k = 0
+    while (e := k * (3 * k - 1) // 2) < bound:
+        terms[e] = Fraction(-1 if k % 2 else 1)
+        k = -k if k > 0 else 1 - k
+    return terms
+
+
+def eta(trunc) -> PuiseuxSeries:
+    """Dedekind eta, q^(1/24) * prod_{n>=1} (1 - q^n), as the shifted pentagonal series.
+
+    The pentagonal exponent k(3k-1)/2 becomes (6k-1)^2/24 = k(3k-1)/2 + 1/24.
     """
     trunc = Fraction(trunc)
     if trunc <= Fraction(1, 24):
         raise ValueError("trunc must exceed 1/24")
-    m_max = math.isqrt(math.ceil(24 * trunc) - 1)  # the largest m with m^2/24 < trunc
-    terms = {m * m: Fraction((-1) ** ((m + 1) // 6)) for m in range(1, m_max + 1) if m % 6 in (1, 5)}
-    return PuiseuxSeries(24, terms, trunc)
+    terms = pentagonal_terms(trunc - Fraction(1, 24))
+    return PuiseuxSeries(24, {24 * k + 1: c for k, c in terms.items()}, trunc)
 
 
 def theta_classical(which: int, trunc) -> PuiseuxSeries:

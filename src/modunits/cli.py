@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,14 @@ def parse_complex(text: str) -> complex:
         return complex(t)
     except ValueError as exc:
         raise UsageError(f"malformed complex number {text!r}: {exc}") from exc
+
+
+def parse_tol(text: str) -> float:
+    """A tolerance: a finite number above 0 (NaN, infinity and 0 are usage errors)."""
+    tol = float(text)
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return tol
 
 
 def format_series(series: PuiseuxSeries, fmt: str) -> str:
@@ -226,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a named identity")
     p.add_argument("identity")
     p.add_argument("--trunc", default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=parse_tol, default=None)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -254,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--char", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=parse_tol, default=1e-10)
     p.set_defaults(func=cmd_theta)
 
     return parser

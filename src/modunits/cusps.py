@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .units import FracVector, GammaMatrix, bernoulli2, frac_part, transform_vector
+from .units import FracVector, GammaMatrix, bernoulli2, frac_part
 
 
 @dataclass(frozen=True, order=True)
@@ -110,21 +110,19 @@ def _bezout_column(a: int, c: int) -> tuple[int, int]:
     return -old_t, old_s
 
 
-def divisor_of_siegel_power(v: FracVector, N: int, gammas: dict | None = None) -> DivisorVector:
-    """Divisor of the 12N-th Siegel power indexed by v, over the cusps of X(N).
+def divisor_of_siegel_power(v: FracVector, N: int) -> DivisorVector:
+    """Divisor of the 12N-th Siegel power indexed by v = (r, s), over the cusps of X(N).
 
-    The entry at a cusp with lift gamma is 6*N*B2(<first coordinate of
-    transpose(gamma) applied to v>); it is independent of the chosen lift.
+    The entry at the cusp (a : c) is 6*N*B2(<a*r + c*s>) (Kubert-Lang), the order at
+    i*infinity of the power moved by any SL2(Z) lift of the cusp.  No lift is needed: a
+    lift's first column is (a, c) mod N and v lies in (1/N)Z^2, so the moved first
+    coordinate is a*r + c*s up to an integer, and B2(<-x>) = B2(<x>) covers the sign.
     """
     if (v.r * N).denominator != 1 or (v.s * N).denominator != 1:
         raise ValueError(f"{v} does not lie in (1/{N})Z^2")
     if v.reduced_mod_1().is_integral():
         raise ValueError("index vector must lie outside Z^2")
-    entries = {}
-    for cusp in enumerate_cusps(N):
-        gamma = gammas[cusp] if gammas is not None else gamma_for_cusp(cusp)
-        moved = transform_vector(gamma, v)
-        entries[cusp] = 6 * N * bernoulli2(frac_part(moved.r))
+    entries = {c: 6 * N * bernoulli2(frac_part(c.a * v.r + c.c * v.s)) for c in enumerate_cusps(N)}
     return DivisorVector(N, entries)
 
 
@@ -168,9 +166,5 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
 def unit_group_rank(N: int) -> int:
     """Rank of the divisor matrix of all 12N-th Siegel powers at level N."""
     cusp_order = enumerate_cusps(N)
-    gammas = {c: gamma_for_cusp(c) for c in cusp_order}
-    rows = [
-        divisor_of_siegel_power(v, N, gammas).as_row(cusp_order)
-        for v in siegel_index_vectors(N)
-    ]
+    rows = [divisor_of_siegel_power(v, N).as_row(cusp_order) for v in siegel_index_vectors(N)]
     return rational_rank(rows)

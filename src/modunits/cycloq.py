@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 
 class CyclotomicDivisionError(ZeroDivisionError):
@@ -28,14 +28,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            den = cyclotomic_polynomial(d)
-            dd = len(den) - 1
-            quo = [0] * (len(poly) - dd)
-            for k in range(len(quo) - 1, -1, -1):
-                c = quo[k] = poly[k + dd]
-                for i in range(dd + 1):
-                    poly[k + i] -= c * den[i]
-            poly = quo
+            poly = _poly_divmod(poly, cyclotomic_polynomial(d))[0]
     return tuple(poly)
 
 
@@ -44,21 +37,27 @@ def euler_phi(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    """Reduce a polynomial in zeta_order to degree < phi(order), in place."""
-    phi_poly = cyclotomic_polynomial(order)
-    deg_phi = len(phi_poly) - 1
-    for d in range(len(coeffs) - 1, deg_phi - 1, -1):
-        c = coeffs[d]
+def _poly_divmod(num, den) -> tuple[list, list]:
+    """num = quo*den + rem, deg rem < deg den, on ascending lists; rem has min(len(num), deg den) entries.
+
+    Zero coefficients of den, trailing ones too, are skipped, and the leading one is divided
+    by only when it is not 1, so Phi_n divided by Phi_d stays in integers.
+    """
+    dd = max(i for i, c in enumerate(den) if c)
+    lead = den[dd]
+    low = [(i, c) for i, c in enumerate(den[:dd]) if c]
+    rem = list(num)
+    quo = [0] * (len(rem) - dd)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + dd]
         if c:
-            coeffs[d] = Fraction(0)
-            for i in range(deg_phi):
-                if phi_poly[i]:
-                    coeffs[d - deg_phi + i] -= c * phi_poly[i]
-    del coeffs[deg_phi:]
-    while len(coeffs) < deg_phi:
-        coeffs.append(Fraction(0))
-    return coeffs
+            if lead != 1:
+                c = c / lead
+            quo[k] = c
+            for i, x in low:
+                rem[k + i] -= c * x
+    del rem[dd:]
+    return quo, rem
 
 
 class Cyclotomic:
@@ -69,7 +68,7 @@ class Cyclotomic:
     def __init__(self, order: int, coeffs):
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > euler_phi(order):
-            cs = _reduce_mod_cyclotomic(cs, order)
+            cs = _poly_divmod(cs, cyclotomic_polynomial(order))[1]
         else:
             cs.extend([Fraction(0)] * (euler_phi(order) - len(cs)))
         # Cheap shrink: an element with only a constant term lives in Q.
@@ -109,7 +108,7 @@ class Cyclotomic:
         out = [Fraction(0)] * (len(self.coeffs) * step)
         for i, c in enumerate(self.coeffs):
             out[i * step] = c
-        return _reduce_mod_cyclotomic(out, order)
+        return _poly_divmod(out, cyclotomic_polynomial(order))[1]
 
     def _coerce_pair(self, other):
         if isinstance(other, (int, Fraction)):
@@ -161,8 +160,7 @@ class Cyclotomic:
             raise CyclotomicDivisionError("cyclotomic division by zero")
         if self.order == 1:
             return Cyclotomic(1, [1 / self.coeffs[0]])
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_modular_inverse(list(self.coeffs), phi_poly)
+        inv = _poly_modular_inverse(list(self.coeffs), cyclotomic_polynomial(self.order))
         return Cyclotomic(self.order, inv)
 
     def __truediv__(self, other):
@@ -195,9 +193,14 @@ class Cyclotomic:
         return a == b
 
     def __hash__(self):
-        if self.order == 1:
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        # The trace to Q over the field degree is the same in every field holding the value:
+        # zeta_M^i is a primitive d-th root of unity, d = M/gcd(i, M), adding mu(d)/phi(d), mu(d) = -Phi_d[-2].
+        total = Fraction(0)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                d = self.order // gcd(i, self.order)
+                total += c * Fraction(-cyclotomic_polynomial(d)[-2], euler_phi(d))
+        return hash(total)
 
     def to_complex(self) -> complex:
         """Embed via zeta_order -> exp(2*pi*i/order)."""
@@ -215,37 +218,17 @@ class Cyclotomic:
         return f"Cyclotomic(order={self.order}, coeffs={list(self.coeffs)})"
 
 
-def _poly_modular_inverse(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
+def _poly_modular_inverse(a: list[Fraction], modulus: tuple[int, ...]) -> list[Fraction]:
     """Inverse of a modulo a monic polynomial, by the extended Euclidean algorithm."""
-
-    def degree(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
-
-    def divmod_poly(num, den):
-        num = num[:]
-        dd = degree(den)
-        lead = den[dd]
-        quo = [Fraction(0)] * max(1, len(num))
-        for d in range(degree(num), dd - 1, -1):
-            c = num[d] / lead
-            if c:
-                quo[d - dd] = c
-                for i in range(dd + 1):
-                    num[d - dd + i] -= c * den[i]
-        return quo, num
-
     # Invariant: r0 = s0*a (mod modulus), r1 = s1*a (mod modulus).
-    r0, r1 = modulus[:], a[:]
+    r0, r1 = modulus, a
     s0, s1 = [Fraction(0)], [Fraction(1)]
-    while degree(r1) > 0:
-        q, rem = divmod_poly(r0, r1)
+    while any(r1[1:]):
+        q, rem = _poly_divmod(r0, r1)
         r0, r1 = r1, rem
         qs1 = _poly_mul(q, s1)
         s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs1, fillvalue=Fraction(0))]
-    if degree(r1) < 0:
+    if not r1[0]:
         raise CyclotomicDivisionError("element is not invertible")
     c = r1[0]
     return [x / c for x in s1]

@@ -85,7 +85,7 @@ def truncation_radius(ch: ThetaChar, point: SiegelPoint, tol: float) -> int:
 
 def theta_constant(ch: ThetaChar, point: SiegelPoint, tol: float = 1e-12, radius: int | None = None) -> complex:
     """Theta constant: sum over n in Z^g of e(t(n+r) Z (n+r)/2 + t(n+r) s)."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if ch.g != point.g:
         raise ValueError("characteristic and point have different degrees")

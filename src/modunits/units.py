@@ -1,9 +1,9 @@
 """Siegel functions, the Klein form, Weierstrass p-values and Weierstrass units.
 
-Index vectors (r, s) are rational pairs outside Z^2.  The q-product for a
-Siegel function is taken with 0 <= r < 1; callers transporting indices by an
-SL2(Z) matrix must normalize the first coordinate themselves (the 12N-th power
-is insensitive to the choice, the bare function is not).
+Index vectors (r, s) are rational pairs outside Z^2.  A Siegel function is
+expanded by the Jacobi triple product with 0 <= r < 1; callers transporting
+indices by an SL2(Z) matrix must normalize the first coordinate themselves (the
+12N-th power is insensitive to the choice, the bare function is not).
 """
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycloq import Cyclotomic, e_of
-from .qseries import PuiseuxSeries, product_family
-from .classical import eta
+# Unused here since siegel_function is a closed form, but bench/tracer.py patches product_family in this namespace.
+from .qseries import PuiseuxSeries, product_family  # noqa: F401
+from .classical import eta, pentagonal_terms
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,11 @@ def transform_vector(g: GammaMatrix, v: FracVector) -> FracVector:
 
 
 def siegel_function(v: FracVector, trunc) -> PuiseuxSeries:
-    """Exact q-product of the Siegel function indexed by (r, s), 0 <= r < 1.
+    """Exact q-expansion of the Siegel function indexed by (r, s), 0 <= r < 1, by the triple product.
 
-    Leading exponent is B2(r)/2; coefficients lie in a cyclotomic field
-    determined by s and the prefactor e^(pi*i*s*(r-1)).
+    With w = q^r e(s), (1 - w) prod_{n>=1} (1 - q^n w)(1 - q^n / w) is, by Jacobi's triple
+    product, sum_k (-1)^k e(ks) q^(k(k-1)/2 + kr) / prod_{n>=1} (1 - q^n), and g is
+    -e(s(r-1)/2) q^(B2(r)/2) times it; the leading exponent is B2(r)/2.
     """
     if v.is_integral():
         raise ValueError("index vector must lie outside Z^2")
@@ -98,20 +100,19 @@ def siegel_function(v: FracVector, trunc) -> PuiseuxSeries:
     rel = trunc - lead
     if rel <= 0:
         raise ValueError("trunc must exceed the leading exponent")
-    prefactor = -e_of(s * (r - 1) / 2)
-    factors = []
-    if r == 0:
-        # (1 - e(s)) is a nonzero constant since s is not integral here
-        prefactor = prefactor * (Cyclotomic.one() - e_of(s))
-    else:
-        factors.append((e_of(s), r, 1))
-    n = 1
-    while n - r < rel or n + r < rel:
-        factors.append((e_of(s), n + r, 1))
-        factors.append((e_of(-s), n - r, 1))
-        n += 1
-    prod = product_family(factors, rel)
-    return PuiseuxSeries.monomial(prefactor, lead, trunc) * prod
+    D, a = r.denominator, r.numerator
+    S, b = s.denominator, s.numerator
+    # k(k-1)/2 + kr >= |k|(|k|-1)/2 as 0 <= r < 1, so only |k| < K can fall below rel.
+    K = math.isqrt(2 * math.ceil(rel)) + 2
+    terms: dict[int, Cyclotomic] = {}  # key j stands for q^(j/D)
+    for k in range(1 - K, K):
+        j = D * k * (k - 1) // 2 + a * k
+        if j < rel * D:
+            # (-1)^k e(ks) = (-1)^k zeta_S^(bk), stored in Q(zeta_S) even when e(ks) lies in a subfield
+            c = Cyclotomic(S, [0] * (b * k % S) + [-1 if k % 2 else 1])
+            terms[j] = terms[j] + c if j in terms else c
+    quotient = PuiseuxSeries(D, terms, rel) * PuiseuxSeries(1, pentagonal_terms(rel), rel).inverse()
+    return PuiseuxSeries.monomial(-e_of(s * (r - 1) / 2), lead, trunc) * quotient
 
 
 def siegel_power_ord(v: FracVector, N: int) -> Fraction:

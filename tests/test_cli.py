@@ -134,5 +134,18 @@ class TestTheta:
         assert out == out_eq
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-10"])
+@pytest.mark.parametrize(
+    "argv",
+    [["theta", "--g", "1", "--char", "0:0", "--point", "1i"], ["verify", "theta-diag"]],
+    ids=["theta", "verify"],
+)
+def test_tol_must_be_finite_and_positive(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, f"--tol={tol}")  # "=" so argparse reads "-1e-10" as a value
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err and "--tol" in err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2

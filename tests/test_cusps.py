@@ -63,16 +63,16 @@ class TestDivisor:
         assert div.entries[Cusp(1, 0, 2)] == -1
 
     def test_independent_of_coset_representative(self):
-        N = 4
-        v = FracVector(F(1, 4), F(3, 4))
-        for cusp in enumerate_cusps(N):
-            g1 = gamma_for_cusp(cusp)
+        """The closed-form entries equal 6N*B2(<r>) of v moved by any lift of the cusp."""
+        for N in range(2, 13):
             # other lifts of the same class: compose with elements of Gamma(N) and -I
-            for delta in (GammaMatrix(1, N, 0, 1), GammaMatrix(1, 0, N, 1), GammaMatrix(-1, 0, 0, -1)):
-                g2 = delta @ g1
-                e1 = 6 * N * bernoulli2(frac_part(transform_vector(g1, v).r))
-                e2 = 6 * N * bernoulli2(frac_part(transform_vector(g2, v).r))
-                assert e1 == e2
+            deltas = (GammaMatrix(1, N, 0, 1), GammaMatrix(1, 0, N, 1), GammaMatrix(-1, 0, 0, -1))
+            for v in siegel_index_vectors(N):
+                div = divisor_of_siegel_power(v, N)
+                for cusp in enumerate_cusps(N):
+                    g1 = gamma_for_cusp(cusp)
+                    for g in (g1, *(delta @ g1 for delta in deltas)):
+                        assert div.entries[cusp] == 6 * N * bernoulli2(frac_part(transform_vector(g, v).r))
 
     def test_invariant_under_negation_and_translation(self):
         N = 3

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modunits
 from modunits.cycloq import Cyclotomic, CyclotomicDivisionError, cyclotomic_polynomial, e_of
@@ -109,3 +111,56 @@ def test_runtime_does_not_import_sympy():
     paths = [str(Path(modunits.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(Cyclotomic(6, [0, 0, 1]), Cyclotomic(3, [0, 1])), (e_of(F(1, 5)), Cyclotomic(10, [0, 0, 1]))],
+)
+def test_equal_values_hash_equal(a, b):
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+orders = st.integers(min_value=1, max_value=60)
+small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+@st.composite
+def elements(draw, order=None, max_terms=120):
+    """An element of Q(zeta_M), M <= 60, from a coefficient list up to twice M long."""
+    if order is None:
+        order = draw(orders)
+    coeffs = draw(st.lists(small_fractions, min_size=1, max_size=min(2 * order, max_terms)))
+    return Cyclotomic(order, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(), st.integers(min_value=1, max_value=4))
+def test_lift_compares_and_hashes_equal(x, k):
+    lifted = Cyclotomic(x.order * k, x.lifted_coeffs(x.order * k))
+    assert lifted == x
+    assert hash(lifted) == hash(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inverse_and_division_round_trip(data):
+    # At most 12 terms: inverting a dense element of degree near 60 takes seconds.
+    order = data.draw(orders)
+    a = data.draw(elements(order, max_terms=12))
+    b = data.draw(elements(order, max_terms=12).filter(lambda c: not c.is_zero()))
+    assert (a * b) / b == a
+    if not a.is_zero():
+        assert a * a.inverse() == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders, st.lists(small_fractions, min_size=1, max_size=150))
+def test_long_coefficient_list_reduces_like_powers_of_zeta(order, coeffs):
+    zeta = Cyclotomic(order, [0, 1])
+    horner = Cyclotomic.zero()
+    for c in reversed(coeffs):
+        horner = horner * zeta + c
+    assert Cyclotomic(order, coeffs) == horner

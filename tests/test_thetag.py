@@ -69,8 +69,9 @@ class TestThetaConstant:
             assert abs(a - b) < 1e-12
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            theta_constant(ThetaChar((0,), (0,)), SiegelPoint([[1j]]), tol=0.0)
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                theta_constant(ThetaChar((0,), (0,)), SiegelPoint([[1j]]), tol=tol)
 
 
 class TestDiagonalFactorization:

@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from modunits import qseries, units
 from modunits.classical import eta
 from modunits.cycloq import e_of
+from modunits.qseries import PuiseuxSeries, product_family
 from modunits.units import (
     FracVector,
     GammaMatrix,
@@ -53,6 +55,37 @@ class TestSiegelFunction:
     def test_out_of_range_r_rejected(self):
         with pytest.raises(ValueError):
             siegel_function(FracVector(F(3, 2), 0), 2)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 12])
+    def test_matches_product_form(self, N):
+        """-e(s(r-1)/2) q^(B2(r)/2) (1 - w) prod_{n>=1} (1 - q^n w)(1 - q^n/w), w = q^r e(s)."""
+        for i in range(N):
+            for j in range(N):
+                if i == 0 and j == 0:
+                    continue
+                r, s = F(i, N), F(j, N)
+                for trunc in (2, F(17, 11)):  # on the exponent lattice, and off it
+                    lead = bernoulli2(r) / 2
+                    rel = trunc - lead
+                    factors = [(e_of(s), r, 1)]  # at r = 0 this is the constant 1 - e(s)
+                    for n in range(1, int(rel) + 2):
+                        factors += [(e_of(s), n + r, 1), (e_of(-s), n - r, 1)]
+                    expected = PuiseuxSeries.monomial(-e_of(s * (r - 1) / 2), lead, trunc) * product_family(
+                        factors, rel
+                    )
+                    assert siegel_function(FracVector(r, s), trunc).to_json() == expected.to_json(), (r, s, trunc)
+
+    def test_no_generic_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("product_family called")
+
+        monkeypatch.setattr(qseries, "product_family", refuse)
+        monkeypatch.setattr(units, "product_family", refuse)
+        v = FracVector(F(1, 5), F(2, 7))
+        siegel_function(v, 3)
+        g14(6)
+        klein_form_0_half(4)
+        siegel_function(v, 2) ** 60
 
 
 class TestSiegelPowerOrd:
