@@ -115,7 +115,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown identity {args.identity!r}")
     options = {}
     if args.trunc is not None:
-        options["trunc"] = int(args.trunc)
+        options["trunc"] = parse_rational(args.trunc)
     if args.tol is not None:
         options["tol"] = args.tol
     if args.N is not None:

@@ -66,7 +66,7 @@ class Cyclotomic:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) > euler_phi(order):
             cs = _poly_divmod(cs, cyclotomic_polynomial(order))[1]
         else:
@@ -143,14 +143,17 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
+        # A rational factor scales the other side's coordinates, with no lift to a common field.
+        if isinstance(other, Cyclotomic) and other.order == 1:
+            other = other.coeffs[0]
         if isinstance(other, (int, Fraction)):
             return Cyclotomic(self.order, [c * other for c in self.coeffs])
+        if isinstance(other, Cyclotomic) and self.order == 1:
+            return Cyclotomic(other.order, [self.coeffs[0] * c for c in other.coeffs])
         pair = self._coerce_pair(other)
         if pair is None:
             return NotImplemented
         m, a, b = pair
-        if m == 1:
-            return Cyclotomic(1, [a[0] * b[0]])
         return Cyclotomic(m, _poly_mul(a, b))
 
     __rmul__ = __mul__

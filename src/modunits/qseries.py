@@ -3,14 +3,25 @@
 A series represents (2*pi*i)^p * sum_k c_k q^(k/D) with all stored exponents
 below an explicit truncation bound.  Truncation is propagated pessimistically:
 nothing at or above ``trunc`` is ever trusted.
+
+Products go through one kernel whenever every coefficient product lands in one
+field Q(zeta_M): both series are shifted to exponent 0, their keys divided by
+the gcd of all keys, every coefficient scaled to integer coordinates over
+Q(zeta_M), and the whole product is one big-int multiplication by Kronecker
+substitution (each coordinate in a slot wide enough for its proven bound),
+each output coefficient reduced mod Phi_M once.  Inverses in one field Q(zeta_M)
+use Newton iteration on the same kernel.  When operands mix field orders, as
+Q(zeta_8) by Q(zeta_24), a term-by-term loop (and, for the inverse, the
+coefficient recurrence) keeps the field each coefficient gets from its pairwise
+products.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import ceil, comb, lcm
+from math import ceil, comb, gcd, lcm
 
-from .cycloq import Cyclotomic
+from .cycloq import Cyclotomic, _poly_divmod, cyclotomic_polynomial, euler_phi
 
 
 class TruncationError(ValueError):
@@ -36,10 +47,11 @@ class PuiseuxSeries:
         if denom < 1:
             raise ValueError("denom must be positive")
         trunc = Fraction(trunc)
+        limit, scale = trunc.numerator * denom, trunc.denominator  # k/denom < trunc
         kept = {}
         for k, c in terms.items():
             c = _as_coeff(c)
-            if not c.is_zero() and Fraction(k, denom) < trunc:
+            if k * scale < limit and not c.is_zero():
                 kept[int(k)] = c
         self.denom = denom
         self.terms = kept
@@ -152,16 +164,11 @@ class PuiseuxSeries:
         b = other._rescaled(d)
         trunc = min(self.trunc + other.ord(), other.trunc + self.ord())
         bound = trunc * d
-        out: dict[int, Cyclotomic] = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                if k < bound:
-                    prod = ca * cb
-                    if k in out:
-                        out[k] = out[k] + prod
-                    else:
-                        out[k] = prod
+        M = _field_order({c.order for c in a.values()}, {c.order for c in b.values()})
+        if M is None:
+            out = _pairwise_product(a, b, bound)
+        else:
+            out = _kronecker_product(a, b, bound, M, square=other is self)
         return PuiseuxSeries(d, out, trunc, self.two_pi_i_power + other.two_pi_i_power)
 
     __rmul__ = __mul__
@@ -175,20 +182,8 @@ class PuiseuxSeries:
         rel_prec = self.trunc * d - v  # known relative lattice length
         n_steps = ceil(rel_prec)  # every lattice step k < rel_prec is known
         a = {k - v: c for k, c in self.terms.items()}
-        a0_inv = a[0].inverse()
-        b: dict[int, Cyclotomic] = {0: a0_inv}
-        a_keys = sorted(k for k in a if k > 0)
-        for k in range(1, n_steps):
-            acc = None
-            for j in a_keys:
-                if j > k:
-                    break
-                bj = b.get(k - j)
-                if bj is not None:
-                    t = a[j] * bj
-                    acc = t if acc is None else acc + t
-            if acc is not None and not acc.is_zero():
-                b[k] = -(acc * a0_inv)
+        M = _field_order({c.order for c in a.values()}, {1})
+        b = _recurrence_inverse(a, n_steps) if M is None else _newton_inverse(a, n_steps, M)
         trunc = self.trunc - 2 * Fraction(v, d)
         return PuiseuxSeries(
             d, {k - v: c for k, c in b.items()}, trunc, -self.two_pi_i_power
@@ -273,8 +268,8 @@ class PuiseuxSeries:
         import cmath
 
         total = 0j
-        for k, c in self.terms.items():
-            total += c.to_complex() * cmath.exp(2j * cmath.pi * tau * k / self.denom)
+        for k in sorted(self.terms):  # a fixed order, so equal series give equal floats
+            total += self.terms[k].to_complex() * cmath.exp(2j * cmath.pi * tau * k / self.denom)
         return total * (2j * cmath.pi) ** self.two_pi_i_power
 
     # ------------------------------------------------------------------
@@ -312,6 +307,177 @@ class PuiseuxSeries:
     @classmethod
     def from_json(cls, text: str) -> "PuiseuxSeries":
         return cls.from_json_dict(json.loads(text))
+
+
+def _field_order(orders_a, orders_b):
+    """The order M of the one field Q(zeta_M) holding every product of a coefficient of
+    each side, or None.  With one such M, a pairwise loop stores a coefficient at order M
+    exactly when it is irrational, as Cyclotomic(M, coordinates) does, so the kernels may
+    run; otherwise the field a pairwise loop stores depends on the order of its additions."""
+    fields = {lcm(x, y) for x in orders_a for y in orders_b if x != 1 or y != 1}
+    if len(fields) > 1:
+        return None
+    return fields.pop() if fields else 1
+
+
+def _pairwise_product(a: dict, b: dict, bound) -> dict:
+    """Term-by-term product of two term dicts on one lattice, keys below bound."""
+    out: dict[int, Cyclotomic] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            if k < bound:
+                prod = ca * cb
+                if k in out:
+                    out[k] = out[k] + prod
+                else:
+                    out[k] = prod
+    return out
+
+
+def _recurrence_inverse(a: dict, n_steps: int) -> dict:
+    """b with a*b = 1 below key n_steps, term by term; a starts at key 0."""
+    a0_inv = a[0].inverse()
+    b: dict[int, Cyclotomic] = {0: a0_inv}
+    a_keys = sorted(k for k in a if k > 0)
+    for k in range(1, n_steps):
+        acc = None
+        for j in a_keys:
+            if j > k:
+                break
+            bj = b.get(k - j)
+            if bj is not None:
+                t = a[j] * bj
+                acc = t if acc is None else acc + t
+        if acc is not None and not acc.is_zero():
+            b[k] = -(acc * a0_inv)
+    return b
+
+
+def _kronecker_product(a: dict, b: dict, bound, M: int, square: bool) -> dict:
+    """Product of two term dicts on one lattice, keys below bound, over Q(zeta_M): both
+    shifted to key 0 and their keys divided by the gcd of all keys, so the dense coordinate
+    lists are as short as the terms allow."""
+    if not a or not b:
+        return {}
+    va, vb = min(a), min(b)
+    limit = ceil(bound - va - vb)  # shifted keys at or past limit cannot reach the result
+    # Only key 0 below limit on both sides (gcd 0): one slot holds the whole product.
+    g = gcd(*(k - va for k in a if k - va < limit), *(k - vb for k in b if k - vb < limit)) or limit
+    xa, la = _dense(a, va, M, g, limit)
+    xb, lb = (xa, la) if square else _dense(b, vb, M, g, limit)
+    return _sparse(_kron_mul(xa, xb, -(-limit // g), M), la * lb, M, g, va + vb)
+
+
+def _newton_inverse(a: dict, n_steps: int, M: int) -> dict:
+    """b with a*b = 1 below key n_steps, a starting at key 0 with coefficients of orders 1
+    and M, by Newton's iteration b <- b - b*(a*b - 1), which doubles the known slots each round."""
+    phi = euler_phi(M)
+    g = gcd(*(k for k in a if k < n_steps)) or n_steps
+    n = -(-n_steps // g)
+    x, lx = _dense(a, 0, M, g, n_steps)
+    y, ly = _dense({0: a[0].inverse()}, 0, M, 1, 1)
+    p = 1
+    while p < n:
+        q = min(2 * p, n)
+        scale = lx * ly
+        # e = a*b - 1 below slot q, times scale; its slots below p vanish.
+        e = _kron_mul(x[: q * phi], y, q, M)
+        e[0] -= scale
+        c = _kron_mul(y[: (q - p) * phi], e[p * phi :], q - p, M)
+        # b - b*e over the denominator scale*ly: b's p slots, then -b*e at slots p..q-1.
+        y = [t * scale for t in y] + [-t for t in c]
+        ly *= scale
+        h = gcd(ly, *y)
+        if h > 1:
+            y, ly = [t // h for t in y], ly // h
+        p = q
+    return _sparse(y, ly, M, g, 0)
+
+
+def _dense(terms: dict, v: int, M: int, g: int, limit: int) -> tuple[list[int], int]:
+    """Integer coordinates over Q(zeta_M) of the terms at keys v + s*g, s*g < limit,
+    coordinate j of slot s at s*phi(M) + j, and the common denominator they are scaled by."""
+    phi = euler_phi(M)
+    rows = []
+    for k, c in terms.items():
+        if k - v < limit:
+            rows.append(((k - v) // g * phi, c.coeffs if c.order in (1, M) else c.lifted_coeffs(M)))
+    den = lcm(*(x.denominator for _, coords in rows for x in coords))
+    xs = [0] * (-(-limit // g) * phi)
+    for at, coords in rows:
+        for j, x in enumerate(coords):
+            xs[at + j] = x.numerator * (den // x.denominator)
+    return xs, den
+
+
+def _sparse(xs: list[int], den: int, M: int, g: int, shift: int) -> dict:
+    """The terms of flat coordinates xs over den (the inverse of _dense), keys moved up by shift."""
+    phi = euler_phi(M)
+    out = {}
+    for at in range(0, len(xs), phi):
+        block = xs[at : at + phi]
+        if any(block):
+            out[at // phi * g + shift] = Cyclotomic(M, block if den == 1 else [Fraction(x, den) for x in block])
+    return out
+
+
+def _kron_mul(xa: list[int], xb: list[int], n: int, M: int) -> list[int]:
+    """The first n slots of the product of two flat integer coordinate lists over Q(zeta_M),
+    each output slot reduced mod Phi_M, by one big-int product (Kronecker substitution).
+
+    Slot s, coordinate j goes to field s*(2*phi - 1) + j of one signed integer, so the
+    coordinates of a product of two slots, of degree up to 2*phi - 2 in zeta, never overlap
+    the next slot's.  An output field sums at most min(#A, #B)*phi products of one coordinate
+    of each side, so its width (with a sign bit) covers every value it can hold.
+    """
+    phi = euler_phi(M)
+    ma, mb = max(map(abs, xa), default=0), max(map(abs, xb), default=0)
+    if not ma or not mb:
+        return [0] * (n * phi)
+    terms = min(_occupied(xa, phi), _occupied(xb, phi))
+    bits = ma.bit_length() + mb.bit_length() + (terms * phi).bit_length() + 1
+    width = -(-bits // 8)
+    stride = 2 * phi - 1
+    X = _pack(xa, phi, stride, width)
+    P = X * X if xb is xa else X * _pack(xb, phi, stride, width)
+    # Adding 2^(w-1) to every wanted field makes each one a digit in [0, 2^w): no borrows.
+    size = n * stride * width
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * (n * stride), "little")
+    raw = ((P + offset) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    vals = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
+    if phi == 1:
+        return vals
+    mod = cyclotomic_polynomial(M)
+    out = []
+    for at in range(0, len(vals), stride):
+        block = vals[at : at + stride]
+        out += _poly_divmod(block, mod)[1] if any(block) else [0] * phi
+    return out
+
+
+def _occupied(xs: list[int], phi: int) -> int:
+    """The number of nonzero slots of a flat coordinate list."""
+    if phi == 1:
+        return len(xs) - xs.count(0)
+    return sum(1 for at in range(0, len(xs), phi) if any(xs[at : at + phi]))
+
+
+def _pack(xs: list[int], phi: int, stride: int, width: int) -> int:
+    """sum of xs[s*phi + j] * 2^(8*width*(s*stride + j)), built from byte strings of the
+    positive and the negative coordinates."""
+    pos = bytearray(len(xs) // phi * stride * width)
+    neg = bytearray(len(pos))
+    for i, x in enumerate(xs):
+        if x:
+            s, j = divmod(i, phi)
+            at = (s * stride + j) * width
+            if x > 0:
+                pos[at : at + width] = x.to_bytes(width, "little")
+            else:
+                neg[at : at + width] = (-x).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def product_family(factors, trunc) -> PuiseuxSeries:

@@ -5,6 +5,7 @@ import pytest
 
 from modunits.classical import discriminant, eisenstein, eta, j_function, theta_classical
 from modunits.qseries import PuiseuxSeries, product_family
+from modunits.verify import verify_delta_eta, verify_jacobi
 
 
 def sigma(k, n):
@@ -140,6 +141,11 @@ class TestThetaIdentities:
         eta2 = eta(20).substitute_q_power(2)
         rhs = (eta4 * eta4 * eta2.inverse()).scaled(2)
         assert lhs.truncated_to(30).first_mismatch(rhs.truncated_to(30)) is None
+
+    def test_high_truncation(self):
+        # Term-by-term series products took minutes here; the Kronecker kernel takes well under a second.
+        assert verify_jacobi(2000).passed
+        assert verify_delta_eta(300).passed
 
     def test_theta4_eta_relation(self):
         lhs = theta_classical(4, 20).substitute_q_power(2)

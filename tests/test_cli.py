@@ -65,6 +65,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_rational_trunc(self, capsys):
+        code, out, _ = run(capsys, "verify", "jacobi", "--trunc", "11/2")
+        assert code == 0
+        assert out.startswith("jacobi [trunc=11/2]: pass")
+
+    def test_integer_trunc_prints_as_an_integer(self, capsys):
+        code, out, _ = run(capsys, "verify", "jacobi", "--trunc", "200")
+        assert code == 0
+        assert out.startswith("jacobi [trunc=200]: pass")
+
+    def test_malformed_trunc_exit_2(self, capsys):
+        code, _, err = run(capsys, "verify", "jacobi", "--trunc", "abc")
+        assert code == 2
+        assert "abc" in err
+
     def test_unknown_identity_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "not-an-identity")
         assert code == 2

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modunits
-from modunits.cycloq import Cyclotomic, CyclotomicDivisionError, cyclotomic_polynomial, e_of
+from modunits.cycloq import Cyclotomic, CyclotomicDivisionError, _poly_mul, cyclotomic_polynomial, e_of
 
 
 def test_e_of_half_turn():
@@ -164,3 +165,22 @@ def test_long_coefficient_list_reduces_like_powers_of_zeta(order, coeffs):
     for c in reversed(coeffs):
         horner = horner * zeta + c
     assert Cyclotomic(order, coeffs) == horner
+
+
+def lifted_product(x, y):
+    """x * y by lifting both sides to the compositum and multiplying coordinate lists."""
+    m = lcm(x.order, y.order)
+    return Cyclotomic(m, _poly_mul(x.lifted_coeffs(m), y.lifted_coeffs(m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(elements(max_terms=30), small_fractions.map(Cyclotomic.from_rational)),
+    st.one_of(st.just(F(0)), small_fractions),
+)
+def test_rational_factor_scales_coordinates(x, r):
+    # Zero and rational results included: r may be 0 and x may be rational.
+    y = Cyclotomic.from_rational(r)
+    expected = lifted_product(x, y)
+    for got in (x * y, y * x, x * r, r * x):
+        assert (got.order, got.coeffs) == (expected.order, expected.coeffs)

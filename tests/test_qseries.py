@@ -1,9 +1,16 @@
+from contextlib import contextmanager
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modunits import qseries
 from modunits.classical import eta
-from modunits.cycloq import Cyclotomic
+from modunits.cycloq import Cyclotomic, euler_phi
 from modunits.qseries import PuiseuxSeries, TruncationError, WeightMismatchError, product_family
 
 
@@ -201,3 +208,133 @@ def test_json_round_trip():
     assert back.same_series(s)
     assert back.trunc == s.trunc
     assert back.two_pi_i_power == s.two_pi_i_power
+
+
+def test_evaluate_does_not_depend_on_insertion_order():
+    terms = {k: Cyclotomic(7, [F(k, 3), F(1, k + 9), -1]) for k in range(-4, 30)}
+    forward = PuiseuxSeries(6, terms, 6)
+    backward = PuiseuxSeries(6, dict(reversed(list(terms.items()))), 6)
+    assert forward == backward
+    for tau in (0.1 + 0.8j, -0.37 + 1.3j):
+        assert forward.evaluate(tau) == backward.evaluate(tau)
+
+
+# The series kernels (Kronecker product, Newton inverse) against the term-by-term loop
+# and the coefficient recurrence, which run when no single field holds every product.
+
+
+@contextmanager
+def pairwise():
+    """Run series products and inverses on the term-by-term reference paths."""
+    with mock.patch.object(qseries, "_field_order", lambda *orders: None):
+        yield
+
+
+def rational(bits):
+    return st.builds(F, st.integers(-(2**bits), 2**bits), st.integers(1, 2 ** min(bits, 64)))
+
+
+@st.composite
+def cyclotomic(draw, order, bits):
+    """A sparse element of Q(zeta_order): at most three nonzero coordinates, so inverses stay fast."""
+    coords = [F(0)] * order
+    for _ in range(draw(st.integers(1, 3))):
+        coords[draw(st.integers(0, order - 1))] = draw(rational(bits))
+    return Cyclotomic(order, coords)
+
+
+@st.composite
+def series(draw, orders, bits=200, steps=60):
+    """A series on denom 1..12 with Laurent keys, known up to 1..steps lattice steps past its
+    lowest key (a trunc on or off the lattice), with coefficients of the field orders given
+    (1 is rational) and coordinates up to 2^bits."""
+    denom = draw(st.integers(1, 12))
+    keys = draw(st.lists(st.integers(-8, 40), min_size=1, max_size=7, unique=True))
+    terms = {}
+    for k in keys:
+        order = draw(st.sampled_from(orders))
+        terms[k] = draw(rational(bits)) if order == 1 else draw(cyclotomic(order, bits))
+    known = F(draw(st.integers(1, steps)), draw(st.integers(1, 3)))
+    return PuiseuxSeries(denom, terms, (min(keys) + known) / denom)
+
+
+# One field Q(zeta_M), M <= 60; rationals; and mixes, some of which still share one
+# field for every product ({5} x {7}, {5, 35} x {7}) and some not ({8, 24} x {8, 24}).
+field_orders = st.one_of(
+    st.just([1]),
+    st.integers(3, 60).map(lambda m: [m]),
+    st.integers(3, 60).map(lambda m: [1, m]),
+    st.sampled_from([[5], [7], [5, 35], [1, 5, 35], [8, 24], [1, 4, 12], [3, 4]]),
+)
+operand = field_orders.flatmap(series)
+# Inverse coefficients grow in height with every step, so invertible operands are shorter and
+# smaller; inverting a leading coefficient of Q(zeta_59) with 16-bit coordinates can take seconds.
+invertible = field_orders.flatmap(lambda orders: series(orders, bits=4, steps=30)).filter(
+    lambda s: not s.is_zero()
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operand, operand)
+def test_kernel_product_matches_pairwise(a, b):
+    with pairwise():
+        expected = (a * b).to_json()
+    assert (a * b).to_json() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(operand)
+def test_kernel_square_matches_pairwise(a):
+    with pairwise():
+        expected = (a * a).to_json()
+    assert (a * a).to_json() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible)
+def test_newton_inverse_matches_recurrence(a):
+    with pairwise():
+        expected = a.inverse().to_json()
+    inv = a.inverse()
+    assert inv.to_json() == expected
+    prod = a * inv
+    assert prod.trunc == a.trunc - a.ord()
+    assert (prod - 1).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(operand, st.integers(1, 6))
+def test_power_is_repeated_product(a, n):
+    assert (a**n).to_json() == reduce(mul, [a] * n).to_json()
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 64, 200])
+@pytest.mark.parametrize("order", [1, 12, 35])
+def test_slots_at_their_bound(bits, order):
+    # Every coordinate is +-(2^b - 1): each output field of a square of the all-positive
+    # series sums min(#A, #B)*phi products of the largest size, its proven bound.
+    big = 2**bits - 1
+    for sign in (1, -1):
+        coeff = Cyclotomic(order, [sign * big] * euler_phi(order))
+        a = PuiseuxSeries(2, {k: coeff for k in range(0, 8)}, 4)
+        b = PuiseuxSeries(2, {k: coeff * (-1) ** k for k in range(1, 9)}, 5)
+        with pairwise():
+            expected = [(a * a).to_json(), (a * b).to_json()]
+        assert [(a * a).to_json(), (a * b).to_json()] == expected
+
+
+def test_terms_past_the_product_trunc_do_not_enter_the_kernel():
+    # a's q^5 lies at the product's trunc and off the lattice 2Z of the keys below it.
+    a = PuiseuxSeries(1, {0: 1, 2: 1, 5: 1}, 10)
+    b = PuiseuxSeries(1, {0: 1, 2: 1}, 5)
+    with pairwise():
+        expected = (a * b).to_json()
+    assert (a * b).to_json() == expected
+    assert [(a * b).coefficient(k) for k in range(5)] == [1, 0, 2, 0, 1]
+
+
+def test_high_truncation_inverse_and_powers():
+    s = PuiseuxSeries(3, {0: 1, 2: -1, 7: Cyclotomic(9, [0, 1])}, 100)
+    inv = s.inverse()
+    assert (s * inv - 1).is_zero()
+    assert ((s**3) * inv**3 - 1).is_zero()
