@@ -15,6 +15,10 @@ from . import classical, cusps, thetag, units, verify
 from .qseries import PuiseuxSeries
 
 
+# The lattice sum grows like R^g, so genera above this are refused before any work.
+MAX_THETA_GENUS = 8
+
+
 class UsageError(Exception):
     pass
 
@@ -43,6 +47,14 @@ def parse_tol(text: str) -> float:
     if not 0 < tol < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
     return tol
+
+
+def parse_genus(text: str) -> int:
+    """A theta genus: an integer in 1..MAX_THETA_GENUS."""
+    g = int(text)
+    if not 1 <= g <= MAX_THETA_GENUS:
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..{MAX_THETA_GENUS}, got {text!r}")
+    return g
 
 
 def format_series(series: PuiseuxSeries, fmt: str) -> str:
@@ -210,7 +222,8 @@ def cmd_theta(args) -> int:
     point = _parse_point(args.point, args.g)
     radius = thetag.truncation_radius(ch, point, args.tol)
     value = thetag.theta_constant(ch, point, tol=args.tol, radius=radius)
-    check = thetag.theta_constant(ch, point, tol=args.tol, radius=radius + 5)
+    # One unit past R: the skipped shell holds the largest terms the bound leaves out.
+    check = thetag.theta_constant(ch, point, tol=args.tol, radius=radius + 1)
     payload = {
         "value_re": value.real,
         "value_im": value.imag,
@@ -260,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("theta", help="numerically evaluate a degree-g theta constant")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=parse_genus, required=True)
     p.add_argument("--char", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--tol", type=parse_tol, default=1e-10)

@@ -1,14 +1,18 @@
 """Degree-g theta constants: numeric evaluation, diagonal factorization,
 and the identity linking theta quotients to Siegel-function quotients.
 
-Evaluation truncates the lattice sum at a radius derived from the Gaussian
-decay rate pi * lambda_min(Im Z); a two-radius re-run in the tests backstops
-the bound.
+A theta constant is summed over the lattice points n with ||U(n + r)|| <= R,
+where pi * Im Z = U^T U is the Cholesky factor of the point, enumerated level
+by level from the last coordinate to the first (Fincke-Pohst).  The radius R
+comes from the proven tail bound of Deconinck, Heil, Bobenko, van Hoeij and
+Schmies, *Computing Riemann theta functions* (Math. Comp. 73, 2004): the terms
+left outside the ellipsoid sum to at most tol in absolute value.
 """
 from __future__ import annotations
 
 import cmath
-import itertools
+# Unused here since the sum is over an ellipsoid, but bench/tracer.py patches itertools in this namespace.
+import itertools  # noqa: F401
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +30,7 @@ class NotPositiveDefiniteError(ValueError):
 class SiegelPoint:
     """A g x g complex symmetric matrix with positive-definite imaginary part."""
 
-    __slots__ = ("g", "Z", "lambda_min")
+    __slots__ = ("g", "Z", "lambda_min", "cholesky")
 
     def __init__(self, Z):
         Z = np.asarray(Z, dtype=complex)
@@ -42,6 +46,8 @@ class SiegelPoint:
         self.g = Z.shape[0]
         self.Z = Z
         self.lambda_min = float(eigs[0])
+        # Upper-triangular U with pi * Im Z = U^T U, shared by every characteristic at this point.
+        self.cholesky = np.linalg.cholesky(math.pi * Z.imag).T
 
     @classmethod
     def diagonal(cls, taus) -> "SiegelPoint":
@@ -74,27 +80,79 @@ class ThetaChar:
         )
 
 
-def truncation_radius(ch: ThetaChar, point: SiegelPoint, tol: float) -> int:
-    """Box radius with Gaussian tail below tol, plus the characteristic shift."""
-    rho = 0.5
-    shift = max((abs(float(x)) for x in ch.r), default=0.0)
-    lam = point.lambda_min
-    inner = max(0.0, -math.log(tol * (1 - rho)) / (math.pi * lam))
-    return math.ceil(shift + math.sqrt(inner)) + 1
+def _tail_bound(g: int, rho: float, R: float) -> float:
+    """(g/2) (2/rho)^g Gamma(g/2, (R - rho/2)^2): a bound on the sum of |terms| with
+    ||U(n + r)|| >= R when rho <= the shortest nonzero ||U n|| and R >= (sqrt(g) + rho)/2."""
+    x = (R - rho / 2) ** 2
+    # Gamma(1/2, x) and Gamma(1, x) in closed form, then Gamma(s + 1, x) = s Gamma(s, x) + x^s e^-x.
+    s, gamma = (0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))) if g % 2 else (1.0, math.exp(-x))
+    while s < g / 2:
+        gamma = s * gamma + x**s * math.exp(-x)
+        s += 1
+    return g / 2 * (2 / rho) ** g * gamma
 
 
-def theta_constant(ch: ThetaChar, point: SiegelPoint, tol: float = 1e-12, radius: int | None = None) -> complex:
-    """Theta constant: sum over n in Z^g of e(t(n+r) Z (n+r)/2 + t(n+r) s)."""
+def truncation_radius(ch: ThetaChar, point: SiegelPoint, tol: float) -> float:
+    """Smallest ellipsoid radius R whose proven tail bound is at most tol.
+
+    The bound holds for every characteristic, so ch does not change R.
+    """
+    g = point.g
+    rho = math.sqrt(math.pi * point.lambda_min)  # ||U n||^2 = pi n^T Im Z n >= pi lambda_min for n != 0
+    lo = (math.sqrt(g) + rho) / 2
+    if _tail_bound(g, rho, lo) <= tol:
+        return lo
+    hi = 2 * lo
+    while _tail_bound(g, rho, hi) > tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1e-6 * hi:
+        mid = (lo + hi) / 2
+        if _tail_bound(g, rho, mid) > tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def ellipsoid_points(U: np.ndarray, c: np.ndarray, R: float) -> np.ndarray:
+    """Every integer n with ||U(n + c)|| <= R, one per row, for U upper triangular.
+
+    Coordinates are fixed from the last to the first.  With n_(i+1..) fixed, the
+    level-i term is U_ii^2 (n_i - center)^2, so n_i ranges over an interval set by
+    the squared radius left; every prefix is expanded to its interval at once.
+    """
+    g = len(c)
+    cols = []  # n_i.. over the prefixes kept so far
+    partial = np.zeros((1, g))  # column k: sum of U_kj (n_j + c_j) over the fixed j
+    rest = np.array([float(R) ** 2])  # squared radius left for coordinates ..i
+    for i in range(g - 1, -1, -1):
+        u = U[i, i]
+        center = -partial[:, i] / u - c[i]
+        half = np.sqrt(np.maximum(rest, 0.0)) / u
+        lo = np.ceil(center - half)
+        count = np.maximum(np.floor(center + half) - lo + 1, 0).astype(np.int64)
+        parent = np.repeat(np.arange(len(rest)), count)
+        n_i = lo[parent] + (np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count))
+        rest = rest[parent] - (u * (n_i - center[parent])) ** 2
+        partial = partial[parent] + np.outer(n_i + c[i], U[:, i])
+        cols = [n_i] + [col[parent] for col in cols]
+    return np.column_stack(cols)
+
+
+def theta_constant(ch: ThetaChar, point: SiegelPoint, tol: float = 1e-12, radius: float | None = None) -> complex:
+    """Theta constant: sum over n in Z^g of e(t(n+r) Z (n+r)/2 + t(n+r) s).
+
+    The sum runs over the ellipsoid ||U(n + r)|| <= R, with R from
+    truncation_radius unless radius overrides it.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if ch.g != point.g:
         raise ValueError("characteristic and point have different degrees")
-    g = point.g
     R = truncation_radius(ch, point, tol) if radius is None else radius
     r = np.array([float(x) for x in ch.r])
     s = np.array([float(x) for x in ch.s])
-    ns = np.array(list(itertools.product(range(-R, R + 1), repeat=g)), dtype=float)
-    x = ns + r  # rows n + r
+    x = ellipsoid_points(point.cholesky, r, R) + r  # rows n + r
     quad = np.einsum("ij,jk,ik->i", x, point.Z, x) / 2.0
     lin = x @ s
     return complex(np.sum(np.exp(2j * np.pi * (quad + lin))))

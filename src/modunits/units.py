@@ -144,26 +144,29 @@ def wp_expansion(v: FracVector, trunc) -> PuiseuxSeries:
     D, a = r.denominator, r.numerator
     bound = trunc * D
     terms = {0: Cyclotomic.from_rational(Fraction(1, 12))}  # key k stands for q^(k/D)
+    # powers[j] = e(s)^j: e(ks) is powers[k mod den(s)], each power in Q(zeta_den(s)).
+    zeta = e_of(s)
+    powers = [Cyclotomic.one()]
+    while len(powers) < s.denominator:
+        powers.append(powers[-1] * zeta)
 
-    def add_geometric(step, zeta, scale=1):
-        # scale * u/(1-u)^2 = scale * sum_{k>=1} k u^k with u = q^(step/D) * zeta
-        k, zk = 1, zeta
+    def add_geometric(step, sign, scale=1):
+        # scale * u/(1-u)^2 = scale * sum_{k>=1} k u^k with u = q^(step/D) * e(sign * s)
+        k = 1
         while k * step < bound:
-            c = zk * (scale * k)
+            c = powers[sign * k % len(powers)] * (scale * k)
             terms[k * step] = terms[k * step] + c if k * step in terms else c
             k += 1
-            zk = zk * zeta
 
     if r == 0:
-        w = e_of(s)
-        terms[0] = terms[0] + w / (Cyclotomic.one() - w) ** 2
+        terms[0] = terms[0] + zeta / (Cyclotomic.one() - zeta) ** 2
     else:
-        add_geometric(a, e_of(s))
+        add_geometric(a, 1)
     n = 1
     while n - r < trunc:
-        add_geometric(n * D + a, e_of(s))
-        add_geometric(n * D - a, e_of(-s))
-        add_geometric(n * D, Cyclotomic.one(), -2)
+        add_geometric(n * D + a, 1)
+        add_geometric(n * D - a, -1)
+        add_geometric(n * D, 0, -2)
         n += 1
     # The lattice is the coarsest one holding every exponent inserted.
     g = math.gcd(D, *terms)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from modunits.cli import main
+from modunits import thetag
+from modunits.cli import MAX_THETA_GENUS, build_parser, main
 from modunits.qseries import PuiseuxSeries
 
 
@@ -147,6 +148,21 @@ class TestTheta:
         code_eq, out_eq, _ = run(capsys, "theta", "--g", "1", *rest, f"{option}={value}")
         assert code_eq == 0
         assert out == out_eq
+
+    @pytest.mark.parametrize("g", ["0", "9", "1000", "-1"])
+    def test_genus_outside_cap_exit_2(self, capsys, monkeypatch, g):
+        def no_sum(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+
+        monkeypatch.setattr(thetag, "theta_constant", no_sum)
+        code, out, err = run(capsys, "theta", f"--g={g}", "--char", "0:0", "--point", "1i")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--g" in err
+
+    def test_genus_cap_is_accepted(self):
+        args = build_parser().parse_args(["theta", "--g", str(MAX_THETA_GENUS), "--char", "0:0", "--point", "1i"])
+        assert args.g == MAX_THETA_GENUS == 8
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-10"])

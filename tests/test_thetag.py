@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from modunits.thetag import (
     SiegelPoint,
     ThetaChar,
     block_diag_symplectic,
+    ellipsoid_points,
     phi_siegel_identity_residual,
     symplectic_action,
     theta_constant,
@@ -17,6 +21,39 @@ from modunits.thetag import (
     truncation_radius,
 )
 from modunits.units import GammaMatrix
+
+
+def random_point(rng, g, lambda_min=None):
+    """A seeded non-diagonal point; Im Z has smallest eigenvalue lambda_min when given."""
+    q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+    lams = rng.uniform(0.6, 1.5, g)
+    if lambda_min is not None:
+        lams[0] = lambda_min
+    y = q @ np.diag(lams) @ q.T
+    x = rng.uniform(-0.5, 0.5, (g, g))
+    return SiegelPoint((x + x.T) / 2 + 0.5j * (y + y.T))
+
+
+def random_char(rng, g):
+    r = [F(int(rng.integers(-3, 4)), 6) for _ in range(g)]
+    return ThetaChar(r, [F(int(rng.integers(0, 4)), 4) for _ in range(g)])
+
+
+def box_theta(ch, point):
+    """Reference sum over a box: every term outside it is below e^-40."""
+    r = np.array([float(x) for x in ch.r])
+    s = np.array([float(x) for x in ch.s])
+    B = math.ceil(math.sqrt(40 / (math.pi * point.lambda_min)) + np.max(np.abs(r))) + 1
+    x = np.array(list(itertools.product(range(-B, B + 1), repeat=point.g)), dtype=float) + r
+    quad = np.einsum("ij,jk,ik->i", x, point.Z, x) / 2.0
+    return complex(np.sum(np.exp(2j * np.pi * (quad + x @ s))))
+
+
+def gamma_bound(point, R):
+    """Deconinck et al.'s tail bound at R, with Gamma(g/2, x) from mpmath."""
+    g = point.g
+    rho = math.sqrt(math.pi * point.lambda_min)
+    return g / 2 * (2 / rho) ** g * float(mpmath.gammainc(g / 2, (R - rho / 2) ** 2))
 
 
 class TestSiegelPoint:
@@ -27,6 +64,12 @@ class TestSiegelPoint:
     def test_rejects_non_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             SiegelPoint([[1j, 0], [0, -2j]])
+
+    def test_cholesky_factor(self):
+        point = random_point(np.random.default_rng(3), 4)
+        U = point.cholesky
+        assert np.array_equal(U, np.triu(U))
+        assert np.allclose(U.T @ U, np.pi * point.Z.imag, atol=1e-13)
 
     def test_diagonal_constructor(self):
         p = SiegelPoint.diagonal([1j, 2j, 0.5 + 1j])
@@ -72,6 +115,70 @@ class TestThetaConstant:
         for tol in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
                 theta_constant(ThetaChar((0,), (0,)), SiegelPoint([[1j]]), tol=tol)
+
+    def test_characteristics_share_the_point_factor(self, monkeypatch):
+        point = random_point(np.random.default_rng(4), 3)
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("Cholesky factor recomputed")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
+        for ch in (ThetaChar((0, 0, 0), (0, 0, 0)), ThetaChar((F(1, 3), 0, F(1, 6)), (0, F(1, 2), 0))):
+            theta_constant(ch, point)
+
+
+class TestEllipsoid:
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_points_equal_filtered_box(self, g):
+        rng = np.random.default_rng(100 + g)
+        for _ in range(5):
+            point = random_point(rng, g)
+            c = rng.uniform(-1, 1, g)
+            R = rng.uniform(1.0, 4.0)
+            got = ellipsoid_points(point.cholesky, c, R)
+            # |n_i + c_i| <= |n + c| <= R / sqrt(pi lambda_min)
+            B = math.ceil(R / math.sqrt(math.pi * point.lambda_min) + 1)
+            box = np.array(list(itertools.product(range(-B, B + 1), repeat=g)), dtype=float)
+            x = box + c
+            inside = np.einsum("ij,jk,ik->i", x, np.pi * point.Z.imag, x) <= R * R
+            assert len(got) == len({tuple(row) for row in got})
+            assert {tuple(row) for row in got} == {tuple(row) for row in box[inside]}
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_theta_matches_box_sum(self, g):
+        rng = np.random.default_rng(200 + g)
+        for _ in range(3):
+            point, ch = random_point(rng, g), random_char(rng, g)
+            assert abs(theta_constant(ch, point, tol=1e-10) - box_theta(ch, point)) <= 1e-10
+
+    def test_error_within_tol(self):
+        rng = np.random.default_rng(300)
+        for g in (1, 2, 3, 4):
+            point, ch = random_point(rng, g), random_char(rng, g)
+            exact = theta_constant(ch, point, tol=1e-15)
+            for tol in (1e-4, 1e-8, 1e-12):
+                assert abs(theta_constant(ch, point, tol=tol) - exact) <= tol
+
+    def test_radius_is_smallest_with_bound_below_tol(self):
+        rng = np.random.default_rng(400)
+        for g in (1, 2, 3, 4, 5):
+            point = random_point(rng, g)
+            rho = math.sqrt(math.pi * point.lambda_min)
+            for tol in (1e-4, 1e-8, 1e-12):
+                R = truncation_radius(random_char(rng, g), point, tol)
+                assert R >= (math.sqrt(g) + rho) / 2
+                # 1e-9 relative: mpmath and the float closed forms may differ in the last bits
+                assert gamma_bound(point, R) <= tol * (1 + 1e-9)
+                assert gamma_bound(point, 0.99 * R) > tol
+
+    def test_g5_sums_a_small_share_of_the_box(self):
+        # The benchmark's lattice_cusps shape: lambda_min(Im Z) = 0.44, where a box needs 13^5 points.
+        rng = np.random.default_rng(500)
+        point = random_point(rng, 5, lambda_min=0.44)
+        ch = ThetaChar((F(1, 3), 0, F(1, 4), F(1, 6), 0), (F(1, 2), 0, F(3, 4), 0, F(1, 6)))
+        r = np.array([float(x) for x in ch.r])
+        points = ellipsoid_points(point.cholesky, r, truncation_radius(ch, point, 1e-12))
+        assert len(points) < 0.02 * 13**5
 
 
 class TestDiagonalFactorization:
