@@ -26,14 +26,25 @@ from .cusps import (
     enumerate_cusps,
     unit_group_rank,
 )
-from .thetag import (
-    SiegelPoint,
-    ThetaChar,
-    block_diag_symplectic,
-    phi_siegel_identity_residual,
-    theta_constant,
-    theta_diag_factorization_residual,
+
+# The numeric theta names load thetag, and numpy with it, on first use (PEP 562),
+# so that importing modunits for exact work does not pay for numpy.
+_THETAG_NAMES = (
+    "SiegelPoint",
+    "ThetaChar",
+    "block_diag_symplectic",
+    "phi_siegel_identity_residual",
+    "theta_constant",
+    "theta_diag_factorization_residual",
 )
+
+
+def __getattr__(name):
+    if name in _THETAG_NAMES:
+        from . import thetag
+
+        return getattr(thetag, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Cyclotomic",

@@ -11,12 +11,18 @@ import math
 import sys
 from fractions import Fraction
 
-from . import classical, cusps, thetag, units, verify
+from . import classical, cusps, units, verify
 from .qseries import PuiseuxSeries
 
+# thetag (and numpy with it) is imported only by the theta commands.
 
 # The lattice sum grows like R^g, so genera above this are refused before any work.
 MAX_THETA_GENUS = 8
+# Levels are refused above these before any work.  X(N) has about 0.3 N^2 cusps:
+# `cusps` or `divisor` at 500 takes about 1 s and 100 MiB.  The rank's elimination
+# grows much faster: N = 17, the slowest level up to 18, takes about 2 s, and 23 takes 30 s.
+MAX_CUSP_LEVEL = 500
+MAX_RANK_LEVEL = 18
 
 
 class UsageError(Exception):
@@ -49,12 +55,16 @@ def parse_tol(text: str) -> float:
     return tol
 
 
-def parse_genus(text: str) -> int:
-    """A theta genus: an integer in 1..MAX_THETA_GENUS."""
-    g = int(text)
-    if not 1 <= g <= MAX_THETA_GENUS:
-        raise argparse.ArgumentTypeError(f"must be an integer in 1..{MAX_THETA_GENUS}, got {text!r}")
-    return g
+def int_in_range(low: int, high: int):
+    """An argparse type: an integer in low..high, so that other values fail before any work."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if not low <= n <= high:
+            raise argparse.ArgumentTypeError(f"must be an integer in {low}..{high}, got {text!r}")
+        return n
+
+    return integer
 
 
 def format_series(series: PuiseuxSeries, fmt: str) -> str:
@@ -196,7 +206,9 @@ def cmd_rank(args) -> int:
     return 0 if rank == expected else 1
 
 
-def _parse_char(text: str, g: int) -> thetag.ThetaChar:
+def _parse_char(text: str, g: int):
+    from . import thetag
+
     try:
         r_part, s_part = text.split(":")
         r = [parse_rational(x) for x in r_part.split(",")]
@@ -208,7 +220,9 @@ def _parse_char(text: str, g: int) -> thetag.ThetaChar:
     return thetag.ThetaChar(r, s)
 
 
-def _parse_point(text: str, g: int) -> thetag.SiegelPoint:
+def _parse_point(text: str, g: int):
+    from . import thetag
+
     entries = [parse_complex(x) for x in text.replace(";", ",").split(",")]
     if len(entries) == g:
         return thetag.SiegelPoint.diagonal(entries)
@@ -218,6 +232,8 @@ def _parse_point(text: str, g: int) -> thetag.SiegelPoint:
 
 
 def cmd_theta(args) -> int:
+    from . import thetag
+
     ch = _parse_char(args.char, args.g)
     point = _parse_point(args.point, args.g)
     radius = thetag.truncation_radius(ch, point, args.tol)
@@ -249,31 +265,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity")
     p.add_argument("--trunc", default=None)
     p.add_argument("--tol", type=parse_tol, default=None)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=int_in_range(2, MAX_RANK_LEVEL), default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cusps", help="list cusp classes of X(N)")
-    p.add_argument("N", type=int)
+    p.add_argument("N", type=int_in_range(2, MAX_CUSP_LEVEL))
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_cusps)
 
     p = sub.add_parser("divisor", help="divisor of a 12N-th Siegel power")
     p.add_argument("r")
     p.add_argument("s")
-    p.add_argument("N", type=int)
+    p.add_argument("N", type=int_in_range(2, MAX_CUSP_LEVEL))
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_divisor)
 
     p = sub.add_parser("rank", help="exact rank of the Siegel-power divisor matrix")
-    p.add_argument("N", type=int)
+    p.add_argument("N", type=int_in_range(2, MAX_RANK_LEVEL))
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("theta", help="numerically evaluate a degree-g theta constant")
-    p.add_argument("--g", type=parse_genus, required=True)
+    p.add_argument("--g", type=int_in_range(1, MAX_THETA_GENUS), required=True)
     p.add_argument("--char", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--tol", type=parse_tol, default=1e-10)

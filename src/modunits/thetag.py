@@ -74,11 +74,6 @@ class ThetaChar:
     def component(self, k: int) -> "ThetaChar":
         return ThetaChar((self.r[k],), (self.s[k],))
 
-    def is_half_integral(self) -> bool:
-        return all((2 * x).denominator == 1 and x.denominator == 2 for x in self.r) and all(
-            (2 * x).denominator == 1 and x.denominator == 2 for x in self.s
-        )
-
 
 def _tail_bound(g: int, rho: float, R: float) -> float:
     """(g/2) (2/rho)^g Gamma(g/2, (R - rho/2)^2): a bound on the sum of |terms| with

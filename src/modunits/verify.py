@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import classical, cusps, thetag, units
+from . import classical, cusps, units
 from .qseries import PuiseuxSeries, product_family
 
 
@@ -206,6 +206,8 @@ def _random_fraction(rng: random.Random, max_denominator: int) -> Fraction:
 
 @_timed
 def verify_theta_diag(samples=50, seed=0, tol=1e-10) -> VerifyReport:
+    from . import thetag  # numpy is loaded by the theta checks alone
+
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(samples):
@@ -224,6 +226,8 @@ def verify_theta_diag(samples=50, seed=0, tol=1e-10) -> VerifyReport:
 
 @_timed
 def verify_phi_siegel(samples=20, seed=0, tol=1e-8) -> VerifyReport:
+    from . import thetag  # numpy is loaded by the theta checks alone
+
     rng = random.Random(seed)
     half = Fraction(1, 2)
     worst = 0.0

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from modunits import thetag
-from modunits.cli import MAX_THETA_GENUS, build_parser, main
+import modunits
+from modunits import cusps, thetag
+from modunits.cli import MAX_CUSP_LEVEL, MAX_RANK_LEVEL, MAX_THETA_GENUS, build_parser, main
 from modunits.qseries import PuiseuxSeries
 
 
@@ -116,6 +121,33 @@ class TestCuspsDivisorRank:
         code, _, _ = run(capsys, "divisor", "1/3", "0", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("cap", ["cusp", "rank"])
+    @pytest.mark.parametrize("value", ["0", "1", "cap+1", str(10**6)])
+    def test_level_outside_cap_exit_2(self, capsys, monkeypatch, cap, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(cusps, "_level", no_work)
+        limit = MAX_CUSP_LEVEL if cap == "cusp" else MAX_RANK_LEVEL
+        N = str(limit + 1) if value == "cap+1" else value
+        commands = {
+            "cusp": [["cusps", N], ["divisor", "1/2", "0", N]],
+            "rank": [["rank", N], ["verify", "rank", f"--N={N}"]],
+        }[cap]
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "usage:" in err and f"..{limit}" in err
+
+    def test_level_caps_are_accepted(self):
+        parser = build_parser()
+        assert parser.parse_args(["cusps", str(MAX_CUSP_LEVEL)]).N == MAX_CUSP_LEVEL == 500
+        assert parser.parse_args(["divisor", "1/2", "0", str(MAX_CUSP_LEVEL)]).N == MAX_CUSP_LEVEL
+        assert parser.parse_args(["rank", str(MAX_RANK_LEVEL)]).N == MAX_RANK_LEVEL == 18
+        assert parser.parse_args(["verify", "rank", "--N", str(MAX_RANK_LEVEL)]).N == MAX_RANK_LEVEL
+        assert parser.parse_args(["rank", "2"]).N == 2
+
 
 class TestTheta:
     def test_diag_product(self, capsys):
@@ -180,3 +212,31 @@ def test_tol_must_be_finite_and_positive(capsys, argv, tol):
 
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def _python(code: str) -> str:
+    src = str(Path(modunits.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return proc.stdout
+
+
+def test_exact_commands_do_not_import_numpy():
+    out = _python(
+        "import sys, modunits\n"
+        "print('numpy' in sys.modules)\n"
+        "from modunits.cli import main\n"
+        "main(['expand', 'eta', '--trunc', '3'])\n"
+        "print('numpy' in sys.modules)\n"
+        "from modunits import SiegelPoint, theta_constant\n"
+        "print('numpy' in sys.modules, SiegelPoint.__module__, theta_constant.__module__)\n"
+    )
+    lines = out.splitlines()
+    assert lines[0] == "False"
+    assert lines[-2] == "False"
+    assert lines[-1] == "True modunits.thetag modunits.thetag"
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError):
+        modunits.no_such_name

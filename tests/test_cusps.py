@@ -2,6 +2,8 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modunits.cusps import (
     Cusp,
@@ -24,6 +26,16 @@ def test_cusp_count_formula(N, count):
 def test_cusp_count_rejects_small_level():
     with pytest.raises(ValueError):
         cusp_count(1)
+
+
+@pytest.mark.parametrize("N", [-3, 0, 1])
+def test_small_levels_raise_value_error(N):
+    with pytest.raises(ValueError):
+        enumerate_cusps(N)
+    with pytest.raises(ValueError):
+        unit_group_rank(N)
+    with pytest.raises(ValueError):
+        divisor_of_siegel_power(FracVector(F(1, 2), F(1, 3)), N)
 
 
 @pytest.mark.parametrize("N", range(2, 25))
@@ -87,6 +99,128 @@ class TestDivisor:
             divisor_of_siegel_power(FracVector(F(1, 3), 0), 2)
 
 
+def brute_cusps(N):
+    """(a, c) mod N with gcd(a, c, N) = 1, each class under +-1 by its smaller pair, sorted."""
+    reps = set()
+    for a in range(N):
+        for c in range(N):
+            if gcd(gcd(a, c), N) == 1:
+                reps.add(min((a, c), ((-a) % N, (-c) % N)))
+    return sorted(reps)
+
+
+@pytest.mark.parametrize("N", range(2, 61))
+def test_enumeration_matches_brute_force(N):
+    assert [(c.a, c.c, c.level) for c in enumerate_cusps(N)] == [(a, c, N) for a, c in brute_cusps(N)]
+
+
+def test_enumeration_returns_a_fresh_list():
+    first = enumerate_cusps(12)
+    first.reverse()
+    first.append(Cusp(1, 5, 7))
+    assert [(c.a, c.c) for c in enumerate_cusps(12)] == brute_cusps(12)
+    assert enumerate_cusps(12) is not enumerate_cusps(12)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 7, 12])
+def test_index_vectors_are_one_per_sign_class(N):
+    pairs = [(v.r * N, v.s * N) for v in siegel_index_vectors(N)]
+    brute = sorted({min((i, j), ((-i) % N, (-j) % N)) for i in range(N) for j in range(N)} - {(0, 0)})
+    assert pairs == brute
+
+
+@st.composite
+def level_and_index(draw):
+    """A level N in 2..60 and v = (i/d, j/N), numerators in -2N..2N, d = N or a nearby denominator."""
+    N = draw(st.integers(2, 60))
+    i, j = (draw(st.integers(-2 * N, 2 * N)) for _ in range(2))
+    d = draw(st.sampled_from([N, N, N, 1, 2 * N, N + 1]))
+    return N, FracVector(F(i, d), F(j, N))
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_and_index())
+def test_divisor_equals_bernoulli_formula(case):
+    """Every entry is 6N*B2(<a*r + c*s>) computed in Fractions, over the brute-force cusps."""
+    N, v = case
+    if (v.r * N).denominator != 1:
+        with pytest.raises(ValueError, match="does not lie in"):
+            divisor_of_siegel_power(v, N)
+        return
+    if v.r.denominator == 1 and v.s.denominator == 1:
+        with pytest.raises(ValueError, match="outside Z"):
+            divisor_of_siegel_power(v, N)
+        return
+    div = divisor_of_siegel_power(v, N)
+    expected = {}
+    for a, c in brute_cusps(N):
+        x = (a * v.r + c * v.s) % 1
+        expected[(a, c)] = 6 * N * (x * x - x + F(1, 6))
+    assert div.level == N
+    assert {(c.a, c.c): m for c, m in div.entries.items()} == expected
+    assert all(type(m) is F for m in div.entries.values())
+    assert div.degree() == 0
+
+
+def gauss_jordan_rank(rows):
+    """Rank over Q by Fraction Gauss-Jordan elimination: the reference for rational_rank."""
+    rows = [[F(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def rational_matrices(draw):
+    """m x n rational matrices of rank at most k, with some columns zeroed; m may exceed n."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(m, n)))
+    left = [[draw(fractions) for _ in range(k)] for _ in range(m)]
+    right = [[draw(fractions) for _ in range(n)] for _ in range(k)]
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return [
+        [F(0) if col in zero else sum((left[i][t] * right[t][col] for t in range(k)), F(0)) for col in range(n)]
+        for i in range(m)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rational_rank_matches_gauss_jordan(rows):
+    before = [row[:] for row in rows]
+    assert rational_rank(rows) == gauss_jordan_rank(rows)
+    assert rows == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(fractions, min_size=4, max_size=4), min_size=1, max_size=9))
+def test_rational_rank_matches_gauss_jordan_on_random_rows(rows):
+    assert rational_rank(rows) == gauss_jordan_rank(rows)
+
+
+def test_rational_rank_edge_shapes():
+    assert rational_rank([]) == 0
+    assert rational_rank([[], []]) == 0
+    assert rational_rank([[0, 0], [0, 0]]) == 0
+    assert rational_rank([[0, F(1, 3)], [0, F(2, 3)], [0, 5]]) == 1
+    assert rational_rank([[2, 3], [4, 6], [1, 1], [F(1, 2), F(1, 2)]]) == 2
+
+
 def test_rational_rank_on_known_matrix():
     rows = [
         [F(1), F(2), F(3)],
@@ -100,3 +234,8 @@ def test_rational_rank_on_known_matrix():
 def test_unit_group_rank_is_cusps_minus_one(N, rank):
     assert cusp_count(N) - 1 == rank
     assert unit_group_rank(N) == rank
+
+
+@pytest.mark.parametrize("N", range(7, 17))
+def test_unit_group_rank_is_cusps_minus_one_up_to_16(N):
+    assert unit_group_rank(N) == cusp_count(N) - 1
