@@ -42,7 +42,8 @@ print("=" * 60)
 g = g14(8)
 print("g14 expansion head:", [str(g.coefficient(k)) for k in range(-1, 4)])
 for name in ("g14-eta", "g14-theta"):
-    rep = verify.IDENTITY_RUNNERS[name]({"trunc": 40})
+    check, _ = verify.IDENTITY_RUNNERS[name]
+    rep = check(trunc=40)
     print(f"  {name} through order 40: {'pass' if rep.passed else rep.witness}"
           f"  [{rep.wall_ms:.0f} ms]")
 

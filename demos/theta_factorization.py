@@ -28,7 +28,7 @@ print("Proven truncation")
 print("=" * 60)
 ch = ThetaChar((F(1, 4), F(1, 3)), (F(1, 2), 0))
 point = SiegelPoint([[1j, 0.25 + 0.1j], [0.25 + 0.1j, 1.5j]])
-R = truncation_radius(ch, point, 1e-12)
+R = truncation_radius(point, 1e-12)
 v1 = theta_constant(ch, point)
 v2 = theta_constant(ch, point, radius=R + 1)
 print(f"  ellipsoid radius R = {R:.4f}: the terms outside sum to at most 1e-12")

@@ -23,6 +23,12 @@ MAX_THETA_GENUS = 8
 # grows much faster: N = 17, the slowest level up to 18, takes about 2 s, and 23 takes 30 s.
 MAX_CUSP_LEVEL = 500
 MAX_RANK_LEVEL = 18
+# Truncations (|--trunc|), h1N/hN levels and --samples are refused above these.  At trunc 1000
+# the slowest commands, verify g14-eta, expand siegel at level 12 and h1N at N = 31, take
+# about 18, 10 and 14 s (h1N at N = 97 takes 58 s); phi-siegel takes about 9 ms a sample.
+MAX_TRUNC = 1000
+MAX_UNIT_LEVEL = 36
+MAX_SAMPLES = 2000
 
 
 class UsageError(Exception):
@@ -55,16 +61,20 @@ def parse_tol(text: str) -> float:
     return tol
 
 
-def int_in_range(low: int, high: int):
-    """An argparse type: an integer in low..high, so that other values fail before any work."""
+def in_range(low, high, kind=int):
+    """An argparse type: an int (or another kind, as Fraction) in low..high, so that other
+    values fail before any work."""
 
-    def integer(text: str) -> int:
-        n = int(text)
-        if not low <= n <= high:
-            raise argparse.ArgumentTypeError(f"must be an integer in {low}..{high}, got {text!r}")
-        return n
+    def parse(text: str):
+        try:
+            x = kind(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"malformed value {text!r}") from exc
+        if not low <= x <= high:
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {text!r}")
+        return x
 
-    return integer
+    return parse
 
 
 def format_series(series: PuiseuxSeries, fmt: str) -> str:
@@ -85,7 +95,7 @@ def format_series(series: PuiseuxSeries, fmt: str) -> str:
 
 
 def cmd_expand(args) -> int:
-    trunc = Fraction(args.trunc)
+    trunc = args.trunc
     name = args.name
     params = args.params
     builders = {
@@ -124,6 +134,8 @@ def cmd_expand(args) -> int:
         if len(params) != 1:
             raise UsageError(f"{name!r} needs a level parameter N")
         N = int(params[0])
+        if not 2 <= N <= MAX_UNIT_LEVEL:
+            raise UsageError(f"{name!r} needs a level N in 2..{MAX_UNIT_LEVEL}, got {N}")
         series = units.h1N(N, trunc) if name == "h1N" else units.hN(N, trunc)
     else:
         raise UsageError(f"unknown expansion name {name!r}")
@@ -132,21 +144,16 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    runner = verify.IDENTITY_RUNNERS.get(args.identity)
-    if runner is None:
+    if args.identity not in verify.IDENTITY_RUNNERS:
         raise UsageError(f"unknown identity {args.identity!r}")
-    options = {}
-    if args.trunc is not None:
-        options["trunc"] = parse_rational(args.trunc)
-    if args.tol is not None:
-        options["tol"] = args.tol
-    if args.N is not None:
-        options["N"] = args.N
-    if args.samples is not None:
-        options["samples"] = args.samples
-    if args.seed is not None:
-        options["seed"] = args.seed
-    report = runner(options)
+    check, takes = verify.IDENTITY_RUNNERS[args.identity]
+    given = {k: getattr(args, k) for k in ("trunc", "tol", "N", "samples", "seed")}
+    options = {k: v for k, v in given.items() if v is not None}
+    ignored = [f"--{k}" for k in options if k not in takes]
+    if ignored:
+        allowed = ", ".join(f"--{k}" for k in takes) or "no options"
+        raise UsageError(f"{args.identity!r} does not take {', '.join(ignored)} (it takes {allowed})")
+    report = check(**options)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -236,7 +243,7 @@ def cmd_theta(args) -> int:
 
     ch = _parse_char(args.char, args.g)
     point = _parse_point(args.point, args.g)
-    radius = thetag.truncation_radius(ch, point, args.tol)
+    radius = thetag.truncation_radius(point, args.tol)
     value = thetag.theta_constant(ch, point, tol=args.tol, radius=radius)
     # One unit past R: the skipped shell holds the largest terms the bound leaves out.
     check = thetag.theta_constant(ch, point, tol=args.tol, radius=radius + 1)
@@ -257,39 +264,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="print the q-expansion of a named function")
     p.add_argument("name")
     p.add_argument("params", nargs="*")
-    p.add_argument("--trunc", default="50")
+    p.add_argument("--trunc", type=in_range(-MAX_TRUNC, MAX_TRUNC, Fraction), default="50")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="check a named identity")
     p.add_argument("identity")
-    p.add_argument("--trunc", default=None)
+    p.add_argument("--trunc", type=in_range(-MAX_TRUNC, MAX_TRUNC, Fraction), default=None)
     p.add_argument("--tol", type=parse_tol, default=None)
-    p.add_argument("--N", type=int_in_range(2, MAX_RANK_LEVEL), default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--N", type=in_range(2, MAX_RANK_LEVEL), default=None)
+    p.add_argument("--samples", type=in_range(1, MAX_SAMPLES), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cusps", help="list cusp classes of X(N)")
-    p.add_argument("N", type=int_in_range(2, MAX_CUSP_LEVEL))
+    p.add_argument("N", type=in_range(2, MAX_CUSP_LEVEL))
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_cusps)
 
     p = sub.add_parser("divisor", help="divisor of a 12N-th Siegel power")
     p.add_argument("r")
     p.add_argument("s")
-    p.add_argument("N", type=int_in_range(2, MAX_CUSP_LEVEL))
+    p.add_argument("N", type=in_range(2, MAX_CUSP_LEVEL))
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_divisor)
 
     p = sub.add_parser("rank", help="exact rank of the Siegel-power divisor matrix")
-    p.add_argument("N", type=int_in_range(2, MAX_RANK_LEVEL))
+    p.add_argument("N", type=in_range(2, MAX_RANK_LEVEL))
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("theta", help="numerically evaluate a degree-g theta constant")
-    p.add_argument("--g", type=int_in_range(1, MAX_THETA_GENUS), required=True)
+    p.add_argument("--g", type=in_range(1, MAX_THETA_GENUS), required=True)
     p.add_argument("--char", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--tol", type=parse_tol, default=1e-10)

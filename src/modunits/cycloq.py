@@ -1,15 +1,16 @@
 """Exact coefficient arithmetic: rationals and cyclotomic field elements.
 
-Elements of Q(zeta_M) are stored in the power basis 1, zeta, ..., zeta^{phi(M)-1}
-modulo the M-th cyclotomic polynomial, so equality is a coordinate test.
-Rationals are plain ``fractions.Fraction``.
+A cyclotomic number is stored at its conductor f, the least f with the number
+in Q(zeta_f), in the power basis 1, zeta_f, ..., zeta_f^{phi(f)-1} modulo the
+f-th cyclotomic polynomial.  So equal numbers have equal (order, coordinates),
+and equality and hashing compare those.  Coordinates are ``fractions.Fraction``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd, lcm
+from math import isqrt, lcm
 
 
 class CyclotomicDivisionError(ZeroDivisionError):
@@ -60,34 +61,93 @@ def _poly_divmod(num, den) -> tuple[list, list]:
     return quo, rem
 
 
+@lru_cache(maxsize=None)
+def _prime_factors(order: int) -> tuple[int, ...]:
+    return tuple(p for p in range(2, order + 1) if order % p == 0 and all(p % q for q in range(2, isqrt(p) + 1)))
+
+
+@lru_cache(maxsize=None)
+def _crt_split(order: int, p: int) -> tuple[tuple[int, int], ...]:
+    """For p || order and d = order/p, the pair (t, j) with zeta_order^i = zeta_p^t * zeta_d^j
+    for each i < phi(order)."""
+    d = order // p
+    u, w = pow(p, -1, d), pow(d, -1, p)
+    return tuple((i * w % p, i * u % d) for i in range(euler_phi(order)))
+
+
+def _descend(order: int, p: int, xs: list):
+    """Coordinates over Q(zeta_(order/p)), p || order, of the element with coordinates xs over
+    Q(zeta_order), of the same type (int or Fraction), or None when it is not in that field.
+
+    With y_t the part at zeta_p^t, the element is sum_(t<p-1) (y_t - y_(p-1)) zeta_p^t over
+    Q(zeta_d), as 1, zeta_p, ..., zeta_p^(p-2) is a basis there.
+    """
+    fractions = type(xs[0]) is Fraction
+    if fractions:  # the same work on integers over one denominator
+        den = lcm(*(c.denominator for c in xs))
+        xs = [c.numerator * (den // c.denominator) for c in xs]
+    d = order // p
+    ys = [[0] * d for _ in range(p)]
+    for (t, j), x in zip(_crt_split(order, p), xs):
+        ys[t][j] = x
+    last = ys[-1]
+    mod = cyclotomic_polynomial(d)
+    for t in range(1, p - 1):
+        diff = [a - b for a, b in zip(ys[t], last)]
+        if any(diff) and any(_poly_divmod(diff, mod)[1]):
+            return None
+    out = _poly_divmod([a - b for a, b in zip(ys[0], last)], mod)[1]
+    return [Fraction(x, den) for x in out] if fractions else out
+
+
+def _conductor(order: int, xs: list) -> tuple[int, list]:
+    """The conductor f of the element with reduced coordinates xs (ints or Fractions) over
+    Q(zeta_order), and its coordinates over Q(zeta_f), of the same type."""
+    if not any(xs[1:]):
+        return 1, xs[:1]
+    primes = _prime_factors(order)
+    if primes == (order,):  # Q is the only proper subfield
+        return order, xs
+    # p^2 | order: Q(zeta_order) has basis zeta^r, r < p, over Q(zeta_(order/p)) = Q(zeta^p).
+    for p in primes:
+        while order % (p * p) == 0 and not any(any(xs[r::p]) for r in range(1, p)):
+            xs, order = xs[::p], order // p
+    for p in primes:
+        if order % p == 0 and order % (p * p):
+            ys = _descend(order, p, xs)
+            if ys is not None:
+                xs, order = ys, order // p
+    return order, xs
+
+
 class Cyclotomic:
-    """An exact element of Q(zeta_order) in the canonical power basis."""
+    """An exact element of Q(zeta_order), order its conductor: 1 for rationals, never 2 mod 4."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs):
+    def __init__(self, order: int, coeffs, _at_conductor: bool = False):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(cs) > euler_phi(order):
-            cs = _poly_divmod(cs, cyclotomic_polynomial(order))[1]
-        else:
-            cs.extend([Fraction(0)] * (euler_phi(order) - len(cs)))
-        # Cheap shrink: an element with only a constant term lives in Q.
-        if order > 1 and not any(cs[1:]):
-            order, cs = 1, [cs[0]]
+        if not _at_conductor:
+            phi = euler_phi(order)
+            if len(cs) > phi:
+                cs = _poly_divmod(cs, cyclotomic_polynomial(order))[1]
+            else:
+                cs.extend([Fraction(0)] * (phi - len(cs)))
+            order, cs = _conductor(order, cs)
         self.order = order
         self.coeffs = tuple(cs)
 
     @classmethod
     def from_rational(cls, x) -> "Cyclotomic":
-        return cls(1, [Fraction(x)])
+        return cls(1, [Fraction(x)], True)
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
-        return cls(1, [Fraction(0)])
+        return cls(1, [Fraction(0)], True)
 
     @classmethod
     def one(cls) -> "Cyclotomic":
-        return cls(1, [Fraction(1)])
+        return cls(1, [Fraction(1)], True)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -104,57 +164,50 @@ class Cyclotomic:
         """Coordinates of self inside Q(zeta_order); self.order must divide order."""
         if order % self.order:
             raise ValueError(f"{self.order} does not divide {order}")
+        if order == self.order:
+            return list(self.coeffs)
         step = order // self.order
         out = [Fraction(0)] * (len(self.coeffs) * step)
         for i, c in enumerate(self.coeffs):
             out[i * step] = c
         return _poly_divmod(out, cyclotomic_polynomial(order))[1]
 
-    def _coerce_pair(self, other):
+    def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(other)
         elif not isinstance(other, Cyclotomic):
-            return None
-        if self.order == other.order:
-            return self.order, list(self.coeffs), list(other.coeffs)
-        m = lcm(self.order, other.order)
-        return m, self.lifted_coeffs(m), other.lifted_coeffs(m)
-
-    def __add__(self, other):
-        pair = self._coerce_pair(other)
-        if pair is None:
             return NotImplemented
-        m, a, b = pair
-        return Cyclotomic(m, [x + y for x, y in zip(a, b)])
+        if self.order == 1 or other.order == 1:
+            # Adding a rational moves the constant coordinate alone and keeps the conductor.
+            x, r = (other, self.coeffs[0]) if self.order == 1 else (self, other.coeffs[0])
+            return Cyclotomic(x.order, (x.coeffs[0] + r,) + x.coeffs[1:], True)
+        m = lcm(self.order, other.order)
+        return Cyclotomic(m, [x + y for x, y in zip(self.lifted_coeffs(m), other.lifted_coeffs(m))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return Cyclotomic(self.order, [-c for c in self.coeffs], True)
 
     def __sub__(self, other):
-        pair = self._coerce_pair(other)
-        if pair is None:
-            return NotImplemented
-        m, a, b = pair
-        return Cyclotomic(m, [x - y for x, y in zip(a, b)])
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        # A rational factor scales the other side's coordinates, with no lift to a common field.
-        if isinstance(other, Cyclotomic) and other.order == 1:
-            other = other.coeffs[0]
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [c * other for c in self.coeffs])
-        if isinstance(other, Cyclotomic) and self.order == 1:
-            return Cyclotomic(other.order, [self.coeffs[0] * c for c in other.coeffs])
-        pair = self._coerce_pair(other)
-        if pair is None:
+            other = Cyclotomic.from_rational(other)
+        elif not isinstance(other, Cyclotomic):
             return NotImplemented
-        m, a, b = pair
-        return Cyclotomic(m, _poly_mul(a, b))
+        if self.order == 1 or other.order == 1:
+            # A nonzero rational factor scales the other side's coordinates and keeps its conductor.
+            x, r = (other, self.coeffs[0]) if self.order == 1 else (self, other.coeffs[0])
+            return Cyclotomic(x.order, [c * r for c in x.coeffs], True) if r else Cyclotomic.zero()
+        m = lcm(self.order, other.order)
+        return Cyclotomic(m, _poly_mul(self.lifted_coeffs(m), other.lifted_coeffs(m)))
 
     __rmul__ = __mul__
 
@@ -162,7 +215,7 @@ class Cyclotomic:
         if self.is_zero():
             raise CyclotomicDivisionError("cyclotomic division by zero")
         if self.order == 1:
-            return Cyclotomic(1, [1 / self.coeffs[0]])
+            return Cyclotomic(1, [1 / self.coeffs[0]], True)
         inv = _poly_modular_inverse(list(self.coeffs), cyclotomic_polynomial(self.order))
         return Cyclotomic(self.order, inv)
 
@@ -189,21 +242,15 @@ class Cyclotomic:
         return result
 
     def __eq__(self, other):
-        pair = self._coerce_pair(other)
-        if pair is None:
+        if isinstance(other, (int, Fraction)):
+            return self.order == 1 and self.coeffs[0] == other
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        _, a, b = pair
-        return a == b
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        # The trace to Q over the field degree is the same in every field holding the value:
-        # zeta_M^i is a primitive d-th root of unity, d = M/gcd(i, M), adding mu(d)/phi(d), mu(d) = -Phi_d[-2].
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                d = self.order // gcd(i, self.order)
-                total += c * Fraction(-cyclotomic_polynomial(d)[-2], euler_phi(d))
-        return hash(total)
+        # A rational hashes as its Fraction, as it compares equal to it.
+        return hash(self.coeffs[0]) if self.order == 1 else hash((self.order, self.coeffs))
 
     def to_complex(self) -> complex:
         """Embed via zeta_order -> exp(2*pi*i/order)."""
@@ -238,7 +285,7 @@ def _poly_modular_inverse(a: list[Fraction], modulus: tuple[int, ...]) -> list[F
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):

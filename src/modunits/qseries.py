@@ -4,16 +4,15 @@ A series represents (2*pi*i)^p * sum_k c_k q^(k/D) with all stored exponents
 below an explicit truncation bound.  Truncation is propagated pessimistically:
 nothing at or above ``trunc`` is ever trusted.
 
-Products go through one kernel whenever every coefficient product lands in one
-field Q(zeta_M): both series are shifted to exponent 0, their keys divided by
-the gcd of all keys, every coefficient scaled to integer coordinates over
+Every product goes through one kernel over Q(zeta_M), M the lcm of the orders
+of all coefficients: both series are shifted to exponent 0, their keys divided
+by the gcd of all keys, every coefficient scaled to integer coordinates over
 Q(zeta_M), and the whole product is one big-int multiplication by Kronecker
 substitution (each coordinate in a slot wide enough for its proven bound),
-each output coefficient reduced mod Phi_M once.  Inverses in one field Q(zeta_M)
-use Newton iteration on the same kernel.  When operands mix field orders, as
-Q(zeta_8) by Q(zeta_24), a term-by-term loop (and, for the inverse, the
-coefficient recurrence) keeps the field each coefficient gets from its pairwise
-products.
+each output coefficient reduced mod Phi_M once and stored at its conductor.
+Every inverse is Newton iteration on the same kernel.  As cyclotomic values
+are stored at their conductors, the field the kernel works in does not show
+in the result.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import json
 from fractions import Fraction
 from math import ceil, comb, gcd, lcm
 
-from .cycloq import Cyclotomic, _poly_divmod, cyclotomic_polynomial, euler_phi
+from .cycloq import Cyclotomic, _conductor, _poly_divmod, cyclotomic_polynomial, euler_phi
 
 
 class TruncationError(ValueError):
@@ -164,11 +163,8 @@ class PuiseuxSeries:
         b = other._rescaled(d)
         trunc = min(self.trunc + other.ord(), other.trunc + self.ord())
         bound = trunc * d
-        M = _field_order({c.order for c in a.values()}, {c.order for c in b.values()})
-        if M is None:
-            out = _pairwise_product(a, b, bound)
-        else:
-            out = _kronecker_product(a, b, bound, M, square=other is self)
+        M = lcm(*(c.order for c in a.values()), *(c.order for c in b.values()))
+        out = _kronecker_product(a, b, bound, M, square=other is self)
         return PuiseuxSeries(d, out, trunc, self.two_pi_i_power + other.two_pi_i_power)
 
     __rmul__ = __mul__
@@ -182,8 +178,7 @@ class PuiseuxSeries:
         rel_prec = self.trunc * d - v  # known relative lattice length
         n_steps = ceil(rel_prec)  # every lattice step k < rel_prec is known
         a = {k - v: c for k, c in self.terms.items()}
-        M = _field_order({c.order for c in a.values()}, {1})
-        b = _recurrence_inverse(a, n_steps) if M is None else _newton_inverse(a, n_steps, M)
+        b = _newton_inverse(a, n_steps, lcm(*(c.order for c in a.values())))
         trunc = self.trunc - 2 * Fraction(v, d)
         return PuiseuxSeries(
             d, {k - v: c for k, c in b.items()}, trunc, -self.two_pi_i_power
@@ -309,51 +304,6 @@ class PuiseuxSeries:
         return cls.from_json_dict(json.loads(text))
 
 
-def _field_order(orders_a, orders_b):
-    """The order M of the one field Q(zeta_M) holding every product of a coefficient of
-    each side, or None.  With one such M, a pairwise loop stores a coefficient at order M
-    exactly when it is irrational, as Cyclotomic(M, coordinates) does, so the kernels may
-    run; otherwise the field a pairwise loop stores depends on the order of its additions."""
-    fields = {lcm(x, y) for x in orders_a for y in orders_b if x != 1 or y != 1}
-    if len(fields) > 1:
-        return None
-    return fields.pop() if fields else 1
-
-
-def _pairwise_product(a: dict, b: dict, bound) -> dict:
-    """Term-by-term product of two term dicts on one lattice, keys below bound."""
-    out: dict[int, Cyclotomic] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            if k < bound:
-                prod = ca * cb
-                if k in out:
-                    out[k] = out[k] + prod
-                else:
-                    out[k] = prod
-    return out
-
-
-def _recurrence_inverse(a: dict, n_steps: int) -> dict:
-    """b with a*b = 1 below key n_steps, term by term; a starts at key 0."""
-    a0_inv = a[0].inverse()
-    b: dict[int, Cyclotomic] = {0: a0_inv}
-    a_keys = sorted(k for k in a if k > 0)
-    for k in range(1, n_steps):
-        acc = None
-        for j in a_keys:
-            if j > k:
-                break
-            bj = b.get(k - j)
-            if bj is not None:
-                t = a[j] * bj
-                acc = t if acc is None else acc + t
-        if acc is not None and not acc.is_zero():
-            b[k] = -(acc * a0_inv)
-    return b
-
-
 def _kronecker_product(a: dict, b: dict, bound, M: int, square: bool) -> dict:
     """Product of two term dicts on one lattice, keys below bound, over Q(zeta_M): both
     shifted to key 0 and their keys divided by the gcd of all keys, so the dense coordinate
@@ -370,8 +320,8 @@ def _kronecker_product(a: dict, b: dict, bound, M: int, square: bool) -> dict:
 
 
 def _newton_inverse(a: dict, n_steps: int, M: int) -> dict:
-    """b with a*b = 1 below key n_steps, a starting at key 0 with coefficients of orders 1
-    and M, by Newton's iteration b <- b - b*(a*b - 1), which doubles the known slots each round."""
+    """b with a*b = 1 below key n_steps, a starting at key 0 with coefficients in Q(zeta_M),
+    by Newton's iteration b <- b - b*(a*b - 1), which doubles the known slots each round."""
     phi = euler_phi(M)
     g = gcd(*(k for k in a if k < n_steps)) or n_steps
     n = -(-n_steps // g)
@@ -412,13 +362,16 @@ def _dense(terms: dict, v: int, M: int, g: int, limit: int) -> tuple[list[int], 
 
 
 def _sparse(xs: list[int], den: int, M: int, g: int, shift: int) -> dict:
-    """The terms of flat coordinates xs over den (the inverse of _dense), keys moved up by shift."""
+    """The terms of flat coordinates xs over den (the inverse of _dense), keys moved up by shift,
+    each shrunk to its conductor on its integers."""
     phi = euler_phi(M)
     out = {}
     for at in range(0, len(xs), phi):
         block = xs[at : at + phi]
         if any(block):
-            out[at // phi * g + shift] = Cyclotomic(M, block if den == 1 else [Fraction(x, den) for x in block])
+            f, ys = _conductor(M, block)
+            ys = ys if den == 1 else [Fraction(y, den) for y in ys]
+            out[at // phi * g + shift] = Cyclotomic(f, ys, True)
     return out
 
 

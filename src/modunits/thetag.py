@@ -87,11 +87,8 @@ def _tail_bound(g: int, rho: float, R: float) -> float:
     return g / 2 * (2 / rho) ** g * gamma
 
 
-def truncation_radius(ch: ThetaChar, point: SiegelPoint, tol: float) -> float:
-    """Smallest ellipsoid radius R whose proven tail bound is at most tol.
-
-    The bound holds for every characteristic, so ch does not change R.
-    """
+def truncation_radius(point: SiegelPoint, tol: float) -> float:
+    """Smallest ellipsoid radius R whose proven tail bound is at most tol, for every characteristic."""
     g = point.g
     rho = math.sqrt(math.pi * point.lambda_min)  # ||U n||^2 = pi n^T Im Z n >= pi lambda_min for n != 0
     lo = (math.sqrt(g) + rho) / 2
@@ -144,7 +141,7 @@ def theta_constant(ch: ThetaChar, point: SiegelPoint, tol: float = 1e-12, radius
         raise ValueError("tol must be positive")
     if ch.g != point.g:
         raise ValueError("characteristic and point have different degrees")
-    R = truncation_radius(ch, point, tol) if radius is None else radius
+    R = truncation_radius(point, tol) if radius is None else radius
     r = np.array([float(x) for x in ch.r])
     s = np.array([float(x) for x in ch.s])
     x = ellipsoid_points(point.cholesky, r, R) + r  # rows n + r

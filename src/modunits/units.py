@@ -38,10 +38,6 @@ class FracVector:
     def __neg__(self) -> "FracVector":
         return FracVector(-self.r, -self.s)
 
-    def denominator_level(self) -> int:
-        """The smallest N with (r, s) in (1/N)Z^2."""
-        return math.lcm(self.r.denominator, self.s.denominator)
-
 
 @dataclass(frozen=True)
 class GammaMatrix:
@@ -108,7 +104,7 @@ def siegel_function(v: FracVector, trunc) -> PuiseuxSeries:
     for k in range(1 - K, K):
         j = D * k * (k - 1) // 2 + a * k
         if j < rel * D:
-            # (-1)^k e(ks) = (-1)^k zeta_S^(bk), stored in Q(zeta_S) even when e(ks) lies in a subfield
+            # (-1)^k e(ks) = (-1)^k zeta_S^(bk), stored at its conductor, which divides S
             c = Cyclotomic(S, [0] * (b * k % S) + [-1 if k % 2 else 1])
             terms[j] = terms[j] + c if j in terms else c
     quotient = PuiseuxSeries(D, terms, rel) * PuiseuxSeries(1, pentagonal_terms(rel), rel).inverse()
@@ -144,7 +140,7 @@ def wp_expansion(v: FracVector, trunc) -> PuiseuxSeries:
     D, a = r.denominator, r.numerator
     bound = trunc * D
     terms = {0: Cyclotomic.from_rational(Fraction(1, 12))}  # key k stands for q^(k/D)
-    # powers[j] = e(s)^j: e(ks) is powers[k mod den(s)], each power in Q(zeta_den(s)).
+    # powers[j] = e(s)^j: e(ks) is powers[k mod den(s)], each at its conductor, a divisor of den(s).
     zeta = e_of(s)
     powers = [Cyclotomic.one()]
     while len(powers) < s.denominator:

@@ -5,6 +5,7 @@ witness (a mismatched exponent or the worst residual seen).
 """
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ class VerifyReport:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> VerifyReport:
         t0 = time.perf_counter()
         report = fn(*args, **kwargs)
@@ -253,21 +255,18 @@ def verify_phi_siegel(samples=20, seed=0, tol=1e-8) -> VerifyReport:
     )
 
 
+# Each identity's check and the options it takes; the defaults are the checks' own.
 IDENTITY_RUNNERS = {
-    "jacobi": lambda args: verify_jacobi(trunc=args.get("trunc", 200)),
-    "theta-eta": lambda args: verify_theta_eta(trunc=args.get("trunc", 200)),
-    "g14-eta": lambda args: verify_g14_eta(trunc=args.get("trunc", 60)),
-    "g14-theta": lambda args: verify_g14_theta(trunc=args.get("trunc", 60)),
-    "delta-eta": lambda args: verify_delta_eta(trunc=args.get("trunc", 50)),
-    "j-coeffs": lambda args: verify_j_coeffs(trunc=args.get("trunc", 4)),
-    "bernoulli-nonzero": lambda args: verify_bernoulli_nonzero(),
-    "cusp-count": lambda args: verify_cusp_count(),
-    "rank": lambda args: verify_rank(N=args.get("N", 4)),
-    "wp-oracle": lambda args: verify_wp_oracle(tol=args.get("tol", 1e-8)),
-    "theta-diag": lambda args: verify_theta_diag(
-        samples=args.get("samples", 50), seed=args.get("seed", 0), tol=args.get("tol", 1e-10)
-    ),
-    "phi-siegel": lambda args: verify_phi_siegel(
-        samples=args.get("samples", 20), seed=args.get("seed", 0), tol=args.get("tol", 1e-8)
-    ),
+    "jacobi": (verify_jacobi, ("trunc",)),
+    "theta-eta": (verify_theta_eta, ("trunc",)),
+    "g14-eta": (verify_g14_eta, ("trunc",)),
+    "g14-theta": (verify_g14_theta, ("trunc",)),
+    "delta-eta": (verify_delta_eta, ("trunc",)),
+    "j-coeffs": (verify_j_coeffs, ("trunc",)),
+    "bernoulli-nonzero": (verify_bernoulli_nonzero, ()),
+    "cusp-count": (verify_cusp_count, ()),
+    "rank": (verify_rank, ("N",)),
+    "wp-oracle": (verify_wp_oracle, ("tol",)),
+    "theta-diag": (verify_theta_diag, ("samples", "seed", "tol")),
+    "phi-siegel": (verify_phi_siegel, ("samples", "seed", "tol")),
 }

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modunits.classical import discriminant, eisenstein, eta, j_function, theta_classical
 from modunits.qseries import PuiseuxSeries, product_family
@@ -153,3 +156,39 @@ class TestThetaIdentities:
         eta2 = eta(20).substitute_q_power(2)
         rhs = eta1 * eta1 * eta2.inverse()
         assert lhs.truncated_to(30).first_mismatch(rhs.truncated_to(30)) is None
+
+
+# The builders, evaluated through PuiseuxSeries.evaluate, against mpmath's own functions.
+# At Im tau >= 0.8, |q| < 0.0066, so the terms past q^30 are far below the tolerance.
+
+taus = st.builds(
+    complex,
+    st.floats(-0.5, 0.5, allow_nan=False),
+    st.floats(0.8, 2.0, allow_nan=False),
+)
+
+
+def close(got: complex, expected, rel=1e-10) -> bool:
+    expected = complex(expected)
+    return abs(got - expected) <= rel * max(1.0, abs(expected))
+
+
+@settings(max_examples=25, deadline=None)
+@given(taus)
+def test_eta_matches_mpmath_qp(tau):
+    q = mpmath.exp(2j * mpmath.pi * tau)
+    expected = mpmath.exp(2j * mpmath.pi * tau / 24) * mpmath.qp(q)
+    assert close(eta(30).evaluate(tau), expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(taus, st.sampled_from([2, 3, 4]))
+def test_theta_matches_mpmath_jtheta(tau, which):
+    nome = mpmath.exp(1j * mpmath.pi * tau)  # theta_n(tau) = jtheta(n, 0, e^(i pi tau))
+    assert close(theta_classical(which, 30).evaluate(tau), mpmath.jtheta(which, 0, nome))
+
+
+@settings(max_examples=25, deadline=None)
+@given(taus)
+def test_j_matches_mpmath_kleinj(tau):
+    assert close(j_function(30).evaluate(tau), 1728 * mpmath.kleinj(tau))

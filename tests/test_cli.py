@@ -1,14 +1,25 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import modunits
-from modunits import cusps, thetag
-from modunits.cli import MAX_CUSP_LEVEL, MAX_RANK_LEVEL, MAX_THETA_GENUS, build_parser, main
+from modunits import classical, cusps, thetag, units, verify
+from modunits.cli import (
+    MAX_CUSP_LEVEL,
+    MAX_RANK_LEVEL,
+    MAX_SAMPLES,
+    MAX_THETA_GENUS,
+    MAX_TRUNC,
+    MAX_UNIT_LEVEL,
+    build_parser,
+    main,
+)
 from modunits.qseries import PuiseuxSeries
 
 
@@ -240,3 +251,79 @@ def test_exact_commands_do_not_import_numpy():
 def test_unknown_package_attribute_raises():
     with pytest.raises(AttributeError):
         modunits.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "rank", "--trunc", "7"],
+        ["verify", "jacobi", "--N", "5"],
+        ["verify", "cusp-count", "--seed", "1"],
+        ["verify", "theta-diag", "--trunc", "10"],
+        ["verify", "wp-oracle", "--trunc", "30"],
+    ],
+)
+def test_option_the_identity_does_not_take_exit_2(capsys, monkeypatch, argv):
+    for name, (check, takes) in list(verify.IDENTITY_RUNNERS.items()):
+        monkeypatch.setitem(verify.IDENTITY_RUNNERS, name, (_no_work, takes))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"--{argv[2].lstrip('-')}" in err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a check was run")
+
+
+def test_every_identity_takes_the_options_its_check_has():
+    for name, (check, takes) in verify.IDENTITY_RUNNERS.items():
+        params = inspect.signature(check).parameters
+        assert set(takes) <= set(params), name
+        assert all(params[k].default is not inspect.Parameter.empty for k in params), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "theta-diag", "--samples", "0"],
+        ["verify", "theta-diag", "--samples=-1"],
+        ["verify", "phi-siegel", "--samples", "cap+1"],
+        ["verify", "jacobi", "--trunc", "cap+1/2"],
+        ["expand", "eta", "--trunc", "cap+1"],
+        ["expand", "j", "--trunc", str(10**9)],
+    ],
+)
+def test_samples_and_trunc_outside_caps_exit_2(capsys, monkeypatch, argv):
+    for name, (check, takes) in list(verify.IDENTITY_RUNNERS.items()):
+        monkeypatch.setitem(verify.IDENTITY_RUNNERS, name, (_no_work, takes))
+    monkeypatch.setattr(classical, "eta", _no_work)
+    monkeypatch.setattr(classical, "j_function", _no_work)
+    caps = {"--samples": MAX_SAMPLES, "--trunc": MAX_TRUNC}
+    value = argv[-1]
+    if value.startswith("cap"):
+        argv = argv[:-1] + [str(caps[argv[-2]] + Fraction(value[3:]))]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err
+
+
+@pytest.mark.parametrize("name", ["h1N", "hN"])
+@pytest.mark.parametrize("N", ["0", "1", "cap+1", str(10**6)])
+def test_unit_level_outside_cap_exit_2(capsys, monkeypatch, name, N):
+    monkeypatch.setattr(units, "weierstrass_unit", _no_work)
+    N = str(MAX_UNIT_LEVEL + 1) if N == "cap+1" else N
+    code, out, err = run(capsys, "expand", name, N, "--trunc", "3")
+    assert code == 2
+    assert out == ""
+    assert f"2..{MAX_UNIT_LEVEL}" in err
+
+
+def test_caps_are_accepted():
+    parser = build_parser()
+    assert parser.parse_args(["expand", "eta", "--trunc", str(MAX_TRUNC)]).trunc == MAX_TRUNC
+    assert parser.parse_args(["verify", "jacobi", "--trunc", str(MAX_TRUNC)]).trunc == MAX_TRUNC
+    assert parser.parse_args(["verify", "theta-diag", "--samples", str(MAX_SAMPLES)]).samples == MAX_SAMPLES
+    assert parser.parse_args(["verify", "theta-diag", "--samples", "1"]).samples == 1
+    assert parser.parse_args(["expand", "j"]).trunc == 50

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modunits
-from modunits.cycloq import Cyclotomic, CyclotomicDivisionError, _poly_mul, cyclotomic_polynomial, e_of
+from modunits.cycloq import (
+    Cyclotomic,
+    CyclotomicDivisionError,
+    _poly_mul,
+    cyclotomic_polynomial,
+    e_of,
+    euler_phi,
+)
+from modunits.qseries import PuiseuxSeries
 
 
 def test_e_of_half_turn():
@@ -184,3 +192,105 @@ def test_rational_factor_scales_coordinates(x, r):
     expected = lifted_product(x, y)
     for got in (x * y, y * x, x * r, r * x):
         assert (got.order, got.coeffs) == (expected.order, expected.coeffs)
+
+
+# Canonical form: every value is stored at its conductor, so equal values have equal
+# (order, coeffs), hashes and JSON, in whichever field they were built.
+
+
+def as_json(x):
+    return PuiseuxSeries.monomial(x, 0, 1).to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lift_to_any_multiple_is_stored_as_built(data):
+    d = data.draw(st.integers(1, 60))
+    coords = data.draw(st.lists(st.one_of(st.just(F(0)), small_fractions), max_size=euler_phi(d)))
+    x = Cyclotomic(d, coords)
+    M = d * data.draw(st.integers(1, 120 // d))
+    lifted = Cyclotomic(M, x.lifted_coeffs(M))
+    assert (lifted.order, lifted.coeffs) == (x.order, x.coeffs)
+    assert hash(lifted) == hash(x)
+    assert as_json(lifted) == as_json(x)
+
+
+def reduce_mod_phi(poly, n):
+    """poly(zeta_n) in the power basis, by long division by Phi_n."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    poly = list(poly)
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        for i, p in enumerate(phi):
+            poly[k - deg + i] -= c * p
+    return (poly + [F(0)] * deg)[:deg]
+
+
+def galois_image(x, k):
+    """sigma_k(x) for zeta_f -> zeta_f^k, f = x.order, as coordinates over Q(zeta_f)."""
+    f = x.order
+    poly = [F(0)] * f
+    for i, c in enumerate(x.coeffs):
+        poly[i * k % f] += c
+    return reduce_mod_phi(poly, f)
+
+
+def in_subfield(x, p):
+    """Whether x lies in Q(zeta_(f/p)): fixed by every sigma_k with k = 1 mod f/p."""
+    f = x.order
+    return all(
+        galois_image(x, k) == list(x.coeffs)
+        for k in range(1, f + 1, f // p)
+        if gcd(k, f) == 1
+    )
+
+
+def prime_divisors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+@st.composite
+def mixed_sums(draw):
+    """Sums of products of roots of unity whose orders divide 120, so that results often lie
+    in a subfield of the field they were computed in."""
+    total = Cyclotomic.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        term = Cyclotomic.from_rational(draw(small_fractions))
+        for _ in range(draw(st.integers(0, 2))):
+            b = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120]))
+            term = term * e_of(F(draw(st.integers(0, b - 1)), b))
+        total = total + term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(elements(max_terms=40), mixed_sums()))
+def test_stored_order_is_the_conductor(x):
+    assert len(x.coeffs) == euler_phi(x.order)
+    assert x.order % 4 != 2
+    if x.order == 1:
+        return
+    assert any(x.coeffs[1:])
+    for p in prime_divisors(x.order):
+        assert not in_subfield(x, p), (x, p)
+
+
+@pytest.mark.parametrize(
+    "built, order",
+    [
+        (e_of(F(1, 6)), 3),
+        (e_of(F(-1, 6)), 3),
+        (e_of(F(1, 10)), 5),
+        (Cyclotomic(12, [0, 0, 1]), 3),  # zeta_12^2 = zeta_6
+        (Cyclotomic(12, [0, 0, 0, 1]), 4),  # zeta_12^3 = i
+        (Cyclotomic(15, [0, 0, 0, 1]), 5),  # zeta_15^3 = zeta_5
+        (e_of(F(1, 3)) + e_of(F(1, 5)) - e_of(F(1, 3)), 5),
+        (e_of(F(1, 8)) ** 2, 4),
+        (e_of(F(1, 8)) + e_of(F(3, 8)), 8),  # sqrt(-2)
+        (e_of(F(1, 12)) + e_of(F(5, 12)), 4),  # i
+        (e_of(F(1, 8)) - e_of(F(3, 8)), 8),  # sqrt(2)
+    ],
+)
+def test_known_conductors(built, order):
+    assert built.order == order
