@@ -45,49 +45,39 @@ def theta_classical(which: int, trunc) -> PuiseuxSeries:
     theta2 = sum q^((n+1/2)^2/2), theta3 = sum q^(n^2/2),
     theta4 = sum (-1)^n q^(n^2/2).
     """
+    if which not in (2, 3, 4):
+        raise ValueError(f"theta index must be 2, 3 or 4, got {which}")
     trunc = Fraction(trunc)
-    if which == 2:
-        # exponents (2n+1)^2/8; n and -n-1 give the same exponent
-        terms: dict[int, Fraction] = {}
-        n = 0
-        while Fraction((2 * n + 1) ** 2, 8) < trunc:
-            terms[(2 * n + 1) ** 2] = Fraction(2)
-            n += 1
-        return PuiseuxSeries(8, terms, trunc)
-    if which in (3, 4):
-        terms = {0: Fraction(1)}
-        n = 1
-        while Fraction(n * n, 2) < trunc:
-            sign = -1 if (which == 4 and n % 2) else 1
-            terms[n * n] = Fraction(2 * sign)
-            n += 1
-        return PuiseuxSeries(2, terms, trunc)
-    raise ValueError(f"theta index must be 2, 3 or 4, got {which}")
+    # The exponent of n is (2n + a)^2/8, on the lattice (1/denom)Z; n and -n - a give the same
+    # exponent, so n >= 0 covers every term, and counts twice except where 2n + a = 0.
+    a, denom = (1, 8) if which == 2 else (0, 2)
+    terms: dict[int, Fraction] = {}
+    n = 0
+    while Fraction((2 * n + a) ** 2, 8) < trunc:
+        coeff = 1 if 2 * n + a == 0 else 2
+        terms[(2 * n + a) ** 2 * denom // 8] = Fraction(-coeff if which == 4 and n % 2 else coeff)
+        n += 1
+    return PuiseuxSeries(denom, terms, trunc)
 
 
-def _eisenstein_weight(weight: int, constant: int, trunc) -> dict[int, Fraction]:
-    """1 + constant * sum_{n >= 1} sigma_{weight-1}(n) q^n, the divisor sums sieved."""
+# name -> (weight, constant, scale): the series is scale * (1 + constant * sum sigma_(weight-1)(n) q^n).
+_EISENSTEIN = {"g2": (4, 240, Fraction(1, 12)), "g3": (6, -504, Fraction(-1, 216))}
+
+
+def eisenstein(which: str, trunc) -> PuiseuxSeries:
+    """g2 = (2 pi i)^4 * E4/12 and g3 = (2 pi i)^6 * (-E6/216), the divisor sums sieved."""
+    if which not in _EISENSTEIN:
+        raise ValueError(f"unknown Eisenstein name {which!r}")
+    weight, constant, scale = _EISENSTEIN[which]
+    trunc = Fraction(trunc)
     n_max = math.ceil(trunc) - 1
     sigma = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
         power = d ** (weight - 1)
         for n in range(d, n_max + 1, d):
             sigma[n] += power
-    return {0: Fraction(1)} | {n: Fraction(constant * sigma[n]) for n in range(1, n_max + 1)}
-
-
-def eisenstein(which: str, trunc) -> PuiseuxSeries:
-    """g2 = (2 pi i)^4 * E4/12 and g3 = (2 pi i)^6 * (-E6/216)."""
-    trunc = Fraction(trunc)
-    if which == "g2":
-        terms = _eisenstein_weight(4, 240, trunc)
-        series = PuiseuxSeries(1, terms, trunc, two_pi_i_power=4)
-        return series.scaled(Fraction(1, 12))
-    if which == "g3":
-        terms = _eisenstein_weight(6, -504, trunc)
-        series = PuiseuxSeries(1, terms, trunc, two_pi_i_power=6)
-        return series.scaled(Fraction(-1, 216))
-    raise ValueError(f"unknown Eisenstein name {which!r}")
+    terms = {0: Fraction(1)} | {n: Fraction(constant * sigma[n]) for n in range(1, n_max + 1)}
+    return PuiseuxSeries(1, terms, trunc, two_pi_i_power=weight).scaled(scale)
 
 
 def discriminant(trunc) -> PuiseuxSeries:

@@ -23,15 +23,18 @@ MAX_THETA_GENUS = 8
 # grows much faster: N = 17, the slowest level up to 18, takes about 2 s, and 23 takes 30 s.
 MAX_CUSP_LEVEL = 500
 MAX_RANK_LEVEL = 18
-# Truncations (|--trunc|), h1N/hN levels and --samples are refused above these.  At trunc 1000
-# the slowest commands, verify g14-eta, expand siegel at level 12 and h1N at N = 31, take
-# about 18, 10 and 14 s (h1N at N = 97 takes 58 s); phi-siegel takes about 9 ms a sample.
+# Truncations (|--trunc|), h1N/hN levels, the level of expand's index vectors (the lcm of their
+# denominators) and --samples are refused above these.  At trunc 1000 on a 2-vCPU VM the slowest
+# commands are expand wunit at level 5 (26 s; 9 s at level 6), verify g14-eta (7 s), h1N at
+# N = 31 (5.5 s) and expand siegel at level 6 (2 s); phi-siegel takes about 6 ms a sample.
+# Past the index cap, wunit at level 11 took 391 s and siegel 1/12 1/11 (level 132) 14.5 s.
 MAX_TRUNC = 1000
 MAX_UNIT_LEVEL = 36
+MAX_INDEX_LEVEL = 6
 MAX_SAMPLES = 2000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -77,6 +80,17 @@ def in_range(low, high, kind=int):
     return parse
 
 
+class IndexParams(argparse.Action):
+    """expand's parameters as rationals.  Index vectors of level (the lcm of the denominators)
+    above MAX_INDEX_LEVEL fail here, before any work."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        level = math.lcm(*(x.denominator for x in values))
+        if level > MAX_INDEX_LEVEL:
+            parser.error(f"the lcm of the parameters' denominators must be in 1..{MAX_INDEX_LEVEL}, got {level}")
+        setattr(namespace, self.dest, values)
+
+
 def format_series(series: PuiseuxSeries, fmt: str) -> str:
     if fmt == "json":
         return series.to_json()
@@ -117,26 +131,19 @@ def cmd_expand(args) -> int:
     elif name in ("siegel", "wp"):
         if len(params) != 2:
             raise UsageError(f"{name!r} needs two rational parameters r s")
-        v = units.FracVector(parse_rational(params[0]), parse_rational(params[1]))
+        v = units.FracVector(*params)
         series = units.siegel_function(v, trunc) if name == "siegel" else units.wp_expansion(v, trunc)
     elif name == "wunit":
         if len(params) != 8:
             raise UsageError("'wunit' needs eight rationals: r1 s1 r1' s1' r2 s2 r2' s2'")
-        rs = [parse_rational(p) for p in params]
-        series = units.weierstrass_unit(
-            units.FracVector(rs[0], rs[1]),
-            units.FracVector(rs[2], rs[3]),
-            units.FracVector(rs[4], rs[5]),
-            units.FracVector(rs[6], rs[7]),
-            trunc,
-        )
+        series = units.weierstrass_unit(*(units.FracVector(*params[i : i + 2]) for i in range(0, 8, 2)), trunc)
     elif name in ("h1N", "hN"):
         if len(params) != 1:
             raise UsageError(f"{name!r} needs a level parameter N")
-        N = int(params[0])
-        if not 2 <= N <= MAX_UNIT_LEVEL:
+        N = params[0]
+        if N.denominator != 1 or not 2 <= N <= MAX_UNIT_LEVEL:
             raise UsageError(f"{name!r} needs a level N in 2..{MAX_UNIT_LEVEL}, got {N}")
-        series = units.h1N(N, trunc) if name == "h1N" else units.hN(N, trunc)
+        series = (units.h1N if name == "h1N" else units.hN)(int(N), trunc)
     else:
         raise UsageError(f"unknown expansion name {name!r}")
     print(format_series(series, args.format))
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print the q-expansion of a named function")
     p.add_argument("name")
-    p.add_argument("params", nargs="*")
+    p.add_argument("params", nargs="*", type=in_range(-math.inf, math.inf, Fraction), action=IndexParams)
     p.add_argument("--trunc", type=in_range(-MAX_TRUNC, MAX_TRUNC, Fraction), default="50")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_expand)
@@ -318,9 +325,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .cycloq import _prime_factors
 from .units import FracVector, GammaMatrix
 
 
@@ -56,16 +57,8 @@ def cusp_count(N: int) -> int:
     if N == 2:
         return 3
     count = N * N
-    n = N
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            count = count // (p * p) * (p * p - 1)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        count = count // (n * n) * (n * n - 1)
+    for p in _prime_factors(N):
+        count = count // (p * p) * (p * p - 1)
     return count // 2
 
 
@@ -100,28 +93,12 @@ def enumerate_cusps(N: int) -> list[Cusp]:
 def gamma_for_cusp(cusp: Cusp) -> GammaMatrix:
     """An SL2(Z) matrix whose first column lifts (a, c) mod N."""
     N = cusp.level
-    for da in range(N + 1):
-        for dc in range(N + 1):
-            a0 = cusp.a + da * N
-            c0 = cusp.c + dc * N
-            if gcd(a0, c0) == 1:
-                b, d = _bezout_column(a0, c0)
-                return GammaMatrix(a0, b, c0, d)
-    raise RuntimeError(f"no coprime lift found for {cusp}")  # unreachable for valid cusps
-
-
-def _bezout_column(a: int, c: int) -> tuple[int, int]:
-    # find b, d with a*d - b*c = 1
-    old_r, r = a, c
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    # old_r = gcd = 1 = a*old_s + c*old_t
-    return -old_t, old_s
+    c0 = cusp.c % N or N
+    # A prime of c0 that divides N does not divide a, as gcd(a, c, N) = 1, nor any a + k*N; every
+    # other prime p divides a + k*N for one k mod p.  So some k < c0 gives an a0 prime to c0.
+    a0 = next(x for x in range(cusp.a, cusp.a + c0 * N, N) if gcd(x, c0) == 1)
+    d = pow(a0, -1, c0)
+    return GammaMatrix(a0, (a0 * d - 1) // c0, c0, d)
 
 
 def divisor_of_siegel_power(v: FracVector, N: int) -> DivisorVector:

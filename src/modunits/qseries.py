@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import ceil, comb, gcd, lcm
+from math import ceil, gcd, lcm
 
 from .cycloq import Cyclotomic, _conductor, _poly_divmod, cyclotomic_polynomial, euler_phi
 
@@ -138,9 +138,7 @@ class PuiseuxSeries:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = PuiseuxSeries.monomial(other, 0, self.trunc, self.two_pi_i_power)
-        if not isinstance(other, PuiseuxSeries):
+        if not isinstance(other, (int, Fraction, Cyclotomic, PuiseuxSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -213,8 +211,8 @@ class PuiseuxSeries:
         return self * other.inverse()
 
     def substitute_q_power(self, m: int) -> "PuiseuxSeries":
-        """The substitution q -> q^m; exponents and truncation scale by m."""
-        if m < 1:
+        """The substitution q -> q^m, m an int >= 1; exponents and truncation scale by m."""
+        if not isinstance(m, int) or m < 1:
             raise ValueError("m must be a positive integer")
         return PuiseuxSeries(
             self.denom,
@@ -228,8 +226,7 @@ class PuiseuxSeries:
 
     def same_series(self, other: "PuiseuxSeries") -> bool:
         """Coefficient-wise equality up to the smaller truncation (tags must match)."""
-        diff = self - other
-        return diff.is_zero()
+        return self.first_mismatch(other) is None
 
     def first_mismatch(self, other: "PuiseuxSeries"):
         """The smallest exponent where the two series differ, or None."""
@@ -241,11 +238,9 @@ class PuiseuxSeries:
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return (
-            self.two_pi_i_power == other.two_pi_i_power
-            and self.trunc == other.trunc
-            and self.exponents() == other.exponents()
-            and all(self.coefficient(e) == other.coefficient(e) for e in self.exponents())
+        d = lcm(self.denom, other.denom)
+        return (self.two_pi_i_power, self.trunc, self._rescaled(d)) == (
+            other.two_pi_i_power, other.trunc, other._rescaled(d)
         )
 
     def __repr__(self):
@@ -448,24 +443,5 @@ def product_family(factors, trunc) -> PuiseuxSeries:
             continue
         if e == 0 and c == 1:
             raise ZeroDivisionError("factor (1 - q^0) vanishes identically")
-        if e <= 0:
-            base = PuiseuxSeries.monomial(1, 0, trunc) - PuiseuxSeries.monomial(c, e, trunc)
-            acc = acc * base**mult
-            continue
-        # (1 - c q^e)^m expanded by the generalized binomial theorem.
-        terms: dict[int, Cyclotomic] = {}
-        j = 0
-        cj = Cyclotomic.one()
-        while j * e < trunc:
-            terms[j * e.numerator] = cj * _binomial(mult, j)
-            j += 1
-            cj = cj * (-c)
-        acc = acc * PuiseuxSeries(e.denominator, terms, trunc)
+        acc = acc * (1 - PuiseuxSeries.monomial(c, e, trunc)) ** mult
     return acc
-
-
-def _binomial(m: int, j: int) -> Fraction:
-    """Generalized binomial coefficient C(m, j) for integer m of either sign."""
-    if m >= 0:
-        return Fraction(comb(m, j)) if j <= m else Fraction(0)
-    return Fraction((-1) ** j * comb(-m + j - 1, j))

@@ -15,7 +15,9 @@ from fractions import Fraction
 from .cycloq import Cyclotomic, e_of
 # Unused here since siegel_function is a closed form, but bench/tracer.py patches product_family in this namespace.
 from .qseries import PuiseuxSeries, product_family  # noqa: F401
-from .classical import eta, pentagonal_terms
+from .classical import pentagonal_terms, theta_classical
+# Unused here since the Klein form is Gauss's product, but bench/tracer.py patches eta in this namespace.
+from .classical import eta  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,12 @@ def siegel_power_ord(v: FracVector, N: int) -> Fraction:
 
 
 def klein_form_0_half(trunc) -> PuiseuxSeries:
-    """The Klein form at (0, 1/2): (1/2 pi i) * g_(0,1/2) / eta^2."""
-    trunc = Fraction(trunc)
-    pad = trunc + 1
-    g = siegel_function(FracVector(0, Fraction(1, 2)), pad)
-    series = g * eta(pad) ** (-2)
-    return series.truncated_to(min(series.trunc, trunc)).with_two_pi_i_power(-1)
+    """The Klein form at (0, 1/2): (1/2 pi i) * g_(0,1/2) / eta^2.
+
+    By Gauss, g_(0,1/2) / eta^2 = 2i * prod_{n>=1} ((1 + q^n) / (1 - q^n))^2 = 2i / theta4(2 tau)^2.
+    """
+    theta = theta_classical(4, Fraction(trunc) / 2).substitute_q_power(2)
+    return (theta ** -2).scaled(2 * e_of(Fraction(1, 4))).with_two_pi_i_power(-1)
 
 
 def wp_expansion(v: FracVector, trunc) -> PuiseuxSeries:
@@ -221,37 +223,29 @@ def _congruent_up_to_sign(a: FracVector, b: FracVector) -> bool:
     return same or opp
 
 
-def h1N(N: int, trunc) -> PuiseuxSeries:
-    """The level-N generator (p_(0,1/N) - p_(0,1/2)) / (p_(0,1/2) - p_(0,1/4))."""
+def _level_generator(N: int, i: int, j: int, trunc) -> PuiseuxSeries:
+    """(p_(i/N,j/N) - p_(0,1/2)) / (p_(0,1/2) - p_(0,1/4)), the unit h1N or hN by its first index."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    return weierstrass_unit(
-        FracVector(0, Fraction(1, N)),
-        FracVector(0, Fraction(1, 2)),
-        FracVector(0, Fraction(1, 2)),
-        FracVector(0, Fraction(1, 4)),
-        trunc,
-    )
+    half, quarter = FracVector(0, Fraction(1, 2)), FracVector(0, Fraction(1, 4))
+    return weierstrass_unit(FracVector(Fraction(i, N), Fraction(j, N)), half, half, quarter, trunc)
+
+
+def h1N(N: int, trunc) -> PuiseuxSeries:
+    """The level-N generator (p_(0,1/N) - p_(0,1/2)) / (p_(0,1/2) - p_(0,1/4))."""
+    return _level_generator(N, 0, 1, trunc)
 
 
 def hN(N: int, trunc) -> PuiseuxSeries:
     """The level-N generator (p_(1/N,0) - p_(0,1/2)) / (p_(0,1/2) - p_(0,1/4))."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    return weierstrass_unit(
-        FracVector(Fraction(1, N), 0),
-        FracVector(0, Fraction(1, 2)),
-        FracVector(0, Fraction(1, 2)),
-        FracVector(0, Fraction(1, 4)),
-        trunc,
-    )
+    return _level_generator(N, 1, 0, trunc)
 
 
 def g14(trunc) -> PuiseuxSeries:
     """g_(1/4,0)(4 tau)^(-8) * g_(1/2,0)(4 tau)^8, with leading exponent -1."""
     trunc = Fraction(trunc)
-    rel = trunc / 4 + 2
-    a = siegel_function(FracVector(Fraction(1, 4), 0), rel).substitute_q_power(4) ** (-8)
-    b = siegel_function(FracVector(Fraction(1, 2), 0), rel).substitute_q_power(4) ** 8
-    out = a * b
-    return out.truncated_to(min(out.trunc, trunc))
+    # The quotient and its 8th power lose 23/96 of precision before q -> q^4 multiplies it by 4,
+    # so a working truncation of trunc/4 + 1/4 (= 24/96) still covers trunc.
+    rel = trunc / 4 + Fraction(1, 4)
+    half, quarter = (siegel_function(FracVector(r, 0), rel) for r in (Fraction(1, 2), Fraction(1, 4)))
+    return ((half / quarter) ** 8).substitute_q_power(4).truncated_to(trunc)

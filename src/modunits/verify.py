@@ -6,6 +6,7 @@ witness (a mismatched exponent or the worst residual seen).
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -45,6 +46,9 @@ def _timed(fn):
 
 
 def _series_report(name: str, param: str, lhs: PuiseuxSeries, rhs: PuiseuxSeries) -> VerifyReport:
+    trunc = min(lhs.trunc, rhs.trunc)
+    if min(lhs.ord(), rhs.ord()) >= trunc:  # a zero series' ord is its trunc
+        raise ValueError(f"no coefficient below trunc={trunc} to compare")
     mismatch = lhs.first_mismatch(rhs)
     if mismatch is None:
         return VerifyReport(name, param, True)
@@ -96,12 +100,7 @@ def verify_g14_eta(trunc=60) -> VerifyReport:
     )
     if not rep.passed:
         return rep
-    factors = []
-    n = 1
-    while n <= pad + 1:
-        factors.append((-1, n, -8))
-        factors.append((-1, 2 * n, -8))
-        n += 1
+    factors = [(-1, e, -8) for n in range(1, math.floor(pad) + 2) for e in (n, 2 * n)]
     product_form = PuiseuxSeries.monomial(1, -1, pad) * product_family(factors, pad + 1)
     return _series_report(
         "g14-eta", f"trunc={trunc}", (g - 16).truncated_to(trunc), product_form.truncated_to(trunc)

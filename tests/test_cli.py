@@ -12,6 +12,7 @@ import modunits
 from modunits import classical, cusps, thetag, units, verify
 from modunits.cli import (
     MAX_CUSP_LEVEL,
+    MAX_INDEX_LEVEL,
     MAX_RANK_LEVEL,
     MAX_SAMPLES,
     MAX_THETA_GENUS,
@@ -327,3 +328,131 @@ def test_caps_are_accepted():
     assert parser.parse_args(["verify", "theta-diag", "--samples", str(MAX_SAMPLES)]).samples == MAX_SAMPLES
     assert parser.parse_args(["verify", "theta-diag", "--samples", "1"]).samples == 1
     assert parser.parse_args(["expand", "j"]).trunc == 50
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["siegel", "1/3", "1/4001"],
+        ["siegel", "1/24", "5/24"],
+        ["siegel", "1/2", "1/5"],
+        ["siegel", "1/12", "5/12"],
+        ["wp", f"1/{MAX_INDEX_LEVEL + 1}", "0"],
+        ["wunit", "0", "1/3", "0", "1/2", "1/4", "0", "0", "1/4"],
+    ],
+)
+def test_index_level_above_cap_exit_2(capsys, monkeypatch, argv):
+    for name in ("siegel_function", "wp_expansion", "weierstrass_unit"):
+        monkeypatch.setattr(units, name, _no_work)
+    code, out, err = run(capsys, "expand", *argv, "--trunc", "2")
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err and f"1..{MAX_INDEX_LEVEL}" in err
+
+
+def test_index_level_cap_is_accepted():
+    parser = build_parser()
+    assert MAX_INDEX_LEVEL == 6
+    args = parser.parse_args(["expand", "siegel", "1/2", f"5/{MAX_INDEX_LEVEL}"])
+    assert args.params == [Fraction(1, 2), Fraction(5, 6)]
+    wunit = ["expand", "wunit", "1/2", "0", "0", "1/3", "1/6", "1/2", "0", "1/3"]
+    assert parser.parse_args(wunit).params[-1] == Fraction(1, 3)
+    assert parser.parse_args(["expand", "wp", "1/5", "2/5"]).params == [Fraction(1, 5), Fraction(2, 5)]
+    assert parser.parse_args(["expand", "h1N", str(MAX_UNIT_LEVEL)]).params == [MAX_UNIT_LEVEL]
+
+
+class TestBuilds:
+    """The builders and text output the other tests reach only through the library."""
+
+    @pytest.mark.parametrize(
+        "argv, series",
+        [
+            (["h1N", "5"], lambda: units.h1N(5, 3)),
+            (["hN", "7"], lambda: units.hN(7, 3)),
+            (
+                ["wunit", "0", "1/3", "0", "1/2", "1/6", "0", "0", "1/2"],
+                lambda: units.weierstrass_unit(
+                    units.FracVector(0, Fraction(1, 3)), units.FracVector(0, Fraction(1, 2)),
+                    units.FracVector(Fraction(1, 6), 0), units.FracVector(0, Fraction(1, 2)), 3,
+                ),
+            ),
+        ],
+    )
+    def test_unit_builds(self, capsys, argv, series):
+        code, out, _ = run(capsys, "expand", *argv, "--trunc", "3")
+        assert code == 0
+        assert out == series().to_json() + "\n"
+
+    def test_cyclotomic_coefficient_text(self, capsys):
+        code, out, _ = run(capsys, "expand", "siegel", "1/2", "1/3", "--trunc", "1/2", "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "(2 pi i)^0 * (  # truncated at q^1/2",
+            "  q^   -1/24  [order 12] (-1)*z^1 + (1)*z^3",
+            "  q^   11/24  [order 12] (-1)*z^1 + (1)*z^3",
+            ")",
+        ]
+
+    def test_cusps_text(self, capsys):
+        code, out, _ = run(capsys, "cusps", "3")
+        assert code == 0
+        assert out.splitlines() == ["X(3) has 4 cusps:", "  (0:1)", "  oo", "  (1:1)", "  (1:2)"]
+
+    def test_divisor_text(self, capsys):
+        code, out, _ = run(capsys, "divisor", "1/2", "0", "2", "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "divisor of g_[1/2;0]^(12*2) on X(2):",
+            "       (0:1)  2",
+            "          oo  -1",
+            "       (1:1)  -1",
+            "  degree: 0",
+        ]
+
+    def test_bernoulli_nonzero(self, capsys):
+        code, out, _ = run(capsys, "verify", "bernoulli-nonzero")
+        assert code == 0
+        assert out.startswith("bernoulli-nonzero [denominators<=100]: pass")
+
+
+@pytest.mark.parametrize(
+    "argv", [["jacobi", "--trunc", "0"], ["jacobi", "--trunc=-5"], ["theta-eta", "--trunc", "0"]]
+)
+def test_identity_with_nothing_to_compare_exit_2(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "no coefficient below trunc=" in err
+
+
+@pytest.mark.parametrize(
+    "check, trunc",
+    [(verify.verify_jacobi, 0), (verify.verify_jacobi, -5), (verify.verify_theta_eta, 0),
+     (verify.verify_theta_eta, Fraction(-1, 2))],
+)
+def test_identity_with_nothing_to_compare_raises(check, trunc):
+    with pytest.raises(ValueError, match="no coefficient below trunc="):
+        check(trunc)
+
+
+def test_identity_at_trunc_1_still_passes(capsys):
+    code, out, _ = run(capsys, "verify", "jacobi", "--trunc", "1")
+    assert code == 0
+    assert out.startswith("jacobi [trunc=1]: pass")
+    assert verify.verify_theta_eta(1).passed
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("modunits ")]
+
+
+def test_readme_lists_commands():
+    assert len(_readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_exits_0(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err

@@ -63,6 +63,16 @@ def test_gamma_lift_hits_the_cusp(N):
         assert g.a * g.d - g.b * g.c == 1
 
 
+@pytest.mark.parametrize("N", range(2, 25))
+def test_gamma_lift_of_every_cusp_and_its_other_representatives(N):
+    for cusp in enumerate_cusps(N):
+        a, c = cusp.a, cusp.c
+        for lifted in (cusp, Cusp(-a, -c, N), Cusp(a - N, c + 2 * N, N)):
+            g = gamma_for_cusp(lifted)
+            assert g.a * g.d - g.b * g.c == 1
+            assert (g.a - lifted.a) % N == 0 and (g.c - lifted.c) % N == 0
+
+
 class TestDivisor:
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_degree_zero(self, N):

@@ -64,6 +64,15 @@ def test_division_round_trip():
     assert inv * a == 1
 
 
+def test_rational_over_cyclotomic_and_negative_power():
+    z = e_of(F(1, 5))
+    a = Cyclotomic.one() + z
+    assert 3 / a == Cyclotomic.from_rational(3) * a.inverse()
+    assert (F(1, 2) / a) * a == F(1, 2)
+    assert z**-1 == e_of(F(4, 5))
+    assert a**-3 * a**3 == 1
+
+
 @pytest.mark.parametrize("order", [3, 5, 8, 12])
 def test_mul_div_cancel(order):
     a = Cyclotomic(order, [F(1), F(2), F(-1)])

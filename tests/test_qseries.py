@@ -118,6 +118,12 @@ def test_substitution_scales_exponents():
     assert m.substitute_q_power(4).trunc == 20
 
 
+@pytest.mark.parametrize("m", [F(5, 2), 2.5, 2.0, F(2), 0, -1])
+def test_substitution_rejects_all_but_positive_ints(m):
+    with pytest.raises(ValueError):
+        eta(3).substitute_q_power(m)
+
+
 def test_substitution_identity():
     e = eta(10)
     assert e.substitute_q_power(1).same_series(e)
@@ -157,6 +163,58 @@ def test_two_pi_i_power_bookkeeping():
     assert (a * b).two_pi_i_power == 10
     assert a.inverse().two_pi_i_power == -4
     assert (a**3).two_pi_i_power == 12
+
+
+def test_division_by_scalar_and_by_series():
+    from modunits.cycloq import e_of
+
+    a = PuiseuxSeries(2, {-1: F(2), 0: F(1), 3: F(-4)}, 4, 2)
+    z = e_of(F(1, 3))
+    for c in (3, F(-2, 7), z):
+        assert a / c == a.scaled(Cyclotomic.from_rational(1) / c)
+    b = PuiseuxSeries(3, {1: F(1), 2: z}, 4, 1)
+    q = a / b
+    assert q == a * b.inverse()
+    assert q.two_pi_i_power == 1
+    assert (q * b).same_series(a)
+
+
+def test_equality_compares_tag_trunc_and_terms_on_any_lattice():
+    a = PuiseuxSeries(6, {0: F(1), 3: F(2)}, 2)
+    assert a == PuiseuxSeries(2, {0: F(1), 1: F(2)}, 2)
+    assert a != PuiseuxSeries(2, {0: F(1), 1: F(2)}, 3)
+    assert a != PuiseuxSeries(2, {0: F(1), 1: F(3)}, 2)
+    assert a != PuiseuxSeries(2, {0: F(1)}, 2)
+    assert a != PuiseuxSeries(2, {0: F(1), 1: F(2)}, 2, 1)
+
+
+def test_scalar_subtraction_keeps_the_tag():
+    from modunits.cycloq import e_of
+
+    a = PuiseuxSeries(2, {-1: F(2), 0: F(1)}, 3, 2)
+    z = e_of(F(1, 4))
+    assert a - 1 == PuiseuxSeries(2, {-1: F(2)}, 3, 2)
+    assert a - z == PuiseuxSeries(2, {-1: F(2), 0: 1 - z}, 3, 2)
+    assert 1 - a == -(a - 1)
+
+
+@pytest.mark.parametrize("c", [1, -1, F(3, 5), "zeta3"])
+@pytest.mark.parametrize("e", [F(1, 3), 2, F(5, 2)])
+@pytest.mark.parametrize("m", [-3, -1, 0, 2, 5])
+def test_family_factor_is_the_binomial_series(c, e, m):
+    """(1 - c q^e)^m = sum_j C(m, j) (-c)^j q^(je), C(m, j) for m < 0 by (-1)^j C(-m + j - 1, j)."""
+    from math import comb
+
+    from modunits.cycloq import e_of
+
+    c = e_of(F(1, 3)) if c == "zeta3" else Cyclotomic.from_rational(c)
+    e, trunc = F(e), F(23, 3)
+    terms, j = {}, 0
+    while j * e < trunc:
+        binomial = comb(m, j) if m >= 0 else (-1) ** j * comb(-m + j - 1, j)
+        terms[j * e.numerator] = (-c) ** j * binomial
+        j += 1
+    assert product_family([(c, e, m)], trunc) == PuiseuxSeries(e.denominator, terms, trunc)
 
 
 def test_coefficient_beyond_trunc_rejected():

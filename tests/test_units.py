@@ -138,6 +138,13 @@ class TestKleinForm:
         k = klein_form_0_half(6)
         assert (k * k.inverse() - 1).is_zero()
 
+    @pytest.mark.parametrize("trunc", [F(1, 3), 1, F(7, 2), 6, F(41, 5), 20])
+    def test_equals_siegel_over_eta_squared(self, trunc):
+        """Gauss's product against the definition g_(0,1/2) / eta^2, on the exponent lattice and off it."""
+        pad = trunc + 1
+        g = siegel_function(FracVector(0, F(1, 2)), pad) * eta(pad) ** -2
+        assert klein_form_0_half(trunc) == g.truncated_to(trunc).with_two_pi_i_power(-1)
+
 
 class TestWpExpansion:
     def test_even_in_the_index(self):
@@ -212,6 +219,14 @@ class TestWeierstrassUnit:
 
 
 class TestG14:
+    @pytest.mark.parametrize("trunc", [F(1, 2), 1, F(7, 4), 3, F(47, 5), 18])
+    def test_equals_the_two_powers_at_a_wider_truncation(self, trunc):
+        """One 8th power of the quotient at trunc/4 + 1/4 against a -8th and an 8th power at trunc/4 + 2."""
+        rel = trunc / 4 + 2
+        a = siegel_function(FracVector(F(1, 4), 0), rel).substitute_q_power(4) ** -8
+        b = siegel_function(FracVector(F(1, 2), 0), rel).substitute_q_power(4) ** 8
+        assert g14(trunc).to_json() == (a * b).truncated_to(trunc).to_json()
+
     def test_order_minus_one(self):
         g = g14(5)
         assert g.ord() == -1
