@@ -4,13 +4,22 @@ A cyclotomic number is stored at its conductor f, the least f with the number
 in Q(zeta_f), in the power basis 1, zeta_f, ..., zeta_f^{phi(f)-1} modulo the
 f-th cyclotomic polynomial.  So equal numbers have equal (order, coordinates),
 and equality and hashing compare those.  Coordinates are ``fractions.Fraction``.
+
+A rational multiple lambda*e(t) of a root of unity is recognised by ``unit_angle``.  It
+rotates by e(-t) to a rational, so it inverts as e(-t)/lambda; any other value inverts by
+the extended Euclidean algorithm.  A rotation by e(t) is a shift of integer coordinates in
+Z[x]/(x^L - 1), reduced mod Phi_L once.
 """
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import isqrt, lcm
+
+
+_ZERO = Fraction(0)
 
 
 class CyclotomicDivisionError(ZeroDivisionError):
@@ -84,8 +93,7 @@ def _descend(order: int, p: int, xs: list):
     """
     fractions = type(xs[0]) is Fraction
     if fractions:  # the same work on integers over one denominator
-        den = lcm(*(c.denominator for c in xs))
-        xs = [c.numerator * (den // c.denominator) for c in xs]
+        xs, den = _integers(xs)
     d = order // p
     ys = [[0] * d for _ in range(p)]
     for (t, j), x in zip(_crt_split(order, p), xs):
@@ -97,7 +105,60 @@ def _descend(order: int, p: int, xs: list):
         if any(diff) and any(_poly_divmod(diff, mod)[1]):
             return None
     out = _poly_divmod([a - b for a, b in zip(ys[0], last)], mod)[1]
-    return [Fraction(x, den) for x in out] if fractions else out
+    return _fractions(out, den) if fractions else out
+
+
+def _integers(xs) -> tuple[list[int], int]:
+    """Integer coordinates of the Fractions xs over their least common denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in xs))
+    return [c.numerator * (den // c.denominator) for c in xs], den
+
+
+def _fractions(xs: list[int], den: int) -> list[Fraction]:
+    """The Fractions x/den; zeros, most coordinates of a sparse element, share one instance."""
+    return [Fraction(x, den) if x else _ZERO for x in xs]
+
+
+def _rotate(order: int, xs: list, t: Fraction) -> tuple[int, list]:
+    """L = lcm(order, den t) and the coordinates over Q(zeta_L) of e(t) times the element with
+    coordinates xs over Q(zeta_order): a shift of the lifted coordinates in Z[x]/(x^L - 1),
+    reduced mod Phi_L once."""
+    L = lcm(order, t.denominator)
+    step, shift = L // order, t.numerator * (L // t.denominator)
+    ys = [0] * L
+    for i, x in enumerate(xs):
+        if x:
+            ys[(i * step + shift) % L] = x
+    return L, _poly_divmod(ys, cyclotomic_polynomial(L))[1]
+
+
+def unit_angle(x: "Cyclotomic") -> Fraction | None:
+    """t in [0, 1) with x = lambda * e(t) for a nonzero rational lambda of either sign, den t
+    dividing x.order; None when x is no such multiple of a root of unity.
+
+    The roots of unity of Q(zeta_f) are +-zeta_f^k, so t = k/f is the angle of x or of -x.  The
+    angle of x as a float names the one candidate k, and a rotation by -k/f confirms it exactly.
+    """
+    f = x.order
+    if f == 1:
+        return Fraction(0) if x.coeffs[0] else None
+    xs = _integers(x.coeffs)[0]
+    drop = max(0, max(map(abs, xs)).bit_length() - 60)  # floats of the leading bits never overflow
+    z = sum((c >> drop) * cmath.exp(2j * cmath.pi * i / f) for i, c in enumerate(xs) if c)
+    if not z:
+        return None
+    turns = 2 * f * cmath.phase(z) / (2 * cmath.pi)  # the angle of x in units of 1/(2f)
+    m = round(turns)
+    if abs(turns - m) > 1e-6:  # far beyond float rounding: no root of unity, no exact check needed
+        return None
+    # e(m/(2f)) or e(m/(2f) + 1/2) = -e(m/(2f)) is a power of zeta_f when m or m + f is even.
+    if m % 2:
+        if f % 2 == 0:
+            return None
+        m += f
+    k = m // 2 % f
+    rest = _rotate(f, xs, Fraction(-k, f))[1]
+    return Fraction(k, f) if not any(rest[1:]) else None
 
 
 def _conductor(order: int, xs: list) -> tuple[int, list]:
@@ -172,6 +233,15 @@ class Cyclotomic:
             out[i * step] = c
         return _poly_divmod(out, cyclotomic_polynomial(order))[1]
 
+    def rotated(self, t) -> "Cyclotomic":
+        """self * e(t) for rational t, by a shift of integer coordinates."""
+        t = Fraction(t) % 1
+        if not t:
+            return self
+        xs, den = _integers(self.coeffs)
+        f, ys = _conductor(*_rotate(self.order, xs, t))
+        return Cyclotomic(f, _fractions(ys, den), True)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(other)
@@ -216,6 +286,9 @@ class Cyclotomic:
             raise CyclotomicDivisionError("cyclotomic division by zero")
         if self.order == 1:
             return Cyclotomic(1, [1 / self.coeffs[0]], True)
+        t = unit_angle(self)
+        if t is not None:  # (lambda e(t))^-1 = e(-t) / lambda
+            return Cyclotomic(1, [1 / self.rotated(-t).coeffs[0]], True).rotated(-t)
         inv = _poly_modular_inverse(list(self.coeffs), cyclotomic_polynomial(self.order))
         return Cyclotomic(self.order, inv)
 
@@ -254,8 +327,6 @@ class Cyclotomic:
 
     def to_complex(self) -> complex:
         """Embed via zeta_order -> exp(2*pi*i/order)."""
-        import cmath
-
         z = cmath.exp(2j * cmath.pi / self.order)
         acc = 0j
         for c in reversed(self.coeffs):
@@ -296,7 +367,4 @@ def _poly_mul(a, b):
 
 def e_of(x) -> Cyclotomic:
     """The root of unity e(x) = exp(2*pi*i*x) for rational x, as zeta_b^a."""
-    x = Fraction(x) % 1
-    a, b = x.numerator, x.denominator
-    coeffs = [Fraction(0)] * a + [Fraction(1)]
-    return Cyclotomic(b, coeffs)
+    return Cyclotomic.one().rotated(x)

@@ -13,6 +13,12 @@ each output coefficient reduced mod Phi_M once and stored at its conductor.
 Every inverse is Newton iteration on the same kernel.  As cyclotomic values
 are stored at their conductors, the field the kernel works in does not show
 in the result.
+
+Powers and inverses run over the field of the unit-free series: when the
+lowest coefficient is lambda*e(t), lambda rational, the series is rotated by
+e(-t) first, its power or inverse taken, and the result rotated back by e(nt)
+or e(-t).  A Siegel function lies in Q(zeta_288) at level 12, its unit-free
+part in Q(zeta_12).
 """
 from __future__ import annotations
 
@@ -20,7 +26,9 @@ import json
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
-from .cycloq import Cyclotomic, _conductor, _poly_divmod, cyclotomic_polynomial, euler_phi
+from .cycloq import (
+    Cyclotomic, _conductor, _fractions, _poly_divmod, cyclotomic_polynomial, euler_phi, unit_angle,
+)
 
 
 class TruncationError(ValueError):
@@ -151,6 +159,12 @@ class PuiseuxSeries:
             self.denom, {k: v * c for k, v in self.terms.items()}, self.trunc, self.two_pi_i_power
         )
 
+    def rotated(self, t) -> "PuiseuxSeries":
+        """self * e(t) for rational t, each coefficient rotated on its integer coordinates."""
+        if not t:
+            return self
+        return PuiseuxSeries(self.denom, _rotated(self.terms, t), self.trunc, self.two_pi_i_power)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
             return self.scaled(other)
@@ -175,8 +189,10 @@ class PuiseuxSeries:
         v = min(self.terms)  # ord * d
         rel_prec = self.trunc * d - v  # known relative lattice length
         n_steps = ceil(rel_prec)  # every lattice step k < rel_prec is known
-        a = {k - v: c for k, c in self.terms.items()}
-        b = _newton_inverse(a, n_steps, lcm(*(c.order for c in a.values())))
+        # With a leading coefficient lambda*e(t), Newton runs on the unit-free series e(-t)*self.
+        t = _leading_angle(self.terms)
+        a = _rotated({k - v: c for k, c in self.terms.items()}, -t)
+        b = _rotated(_newton_inverse(a, n_steps, lcm(*(c.order for c in a.values()))), -t)
         trunc = self.trunc - 2 * Fraction(v, d)
         return PuiseuxSeries(
             d, {k - v: c for k, c in b.items()}, trunc, -self.two_pi_i_power
@@ -193,15 +209,16 @@ class PuiseuxSeries:
             if self.is_zero():
                 raise ZeroDivisionError("0**0 is undefined for series")
             return PuiseuxSeries.one(self.trunc - self.ord())
-        result = None
-        base = self
-        while n:
-            if n & 1:
+        # With a leading coefficient lambda*e(t), self^n = e(nt) * (e(-t)*self)^n.
+        t = _leading_angle(self.terms)
+        result, base, k = None, self.rotated(-t), n
+        while k:
+            if k & 1:
                 result = base if result is None else result * base
-            n >>= 1
-            if n:
+            k >>= 1
+            if k:
                 base = base * base
-        return result
+        return result.rotated(n * t)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -299,6 +316,17 @@ class PuiseuxSeries:
         return cls.from_json_dict(json.loads(text))
 
 
+def _leading_angle(terms: dict) -> Fraction:
+    """t with the lowest term lambda*e(t), lambda rational (see cycloq.unit_angle); 0 when there is
+    no such t or no term."""
+    return (unit_angle(terms[min(terms)]) or 0) if terms else 0
+
+
+def _rotated(terms: dict, t) -> dict:
+    """The terms times e(t)."""
+    return {k: c.rotated(t) for k, c in terms.items()} if t else terms
+
+
 def _kronecker_product(a: dict, b: dict, bound, M: int, square: bool) -> dict:
     """Product of two term dicts on one lattice, keys below bound, over Q(zeta_M): both
     shifted to key 0 and their keys divided by the gcd of all keys, so the dense coordinate
@@ -365,7 +393,7 @@ def _sparse(xs: list[int], den: int, M: int, g: int, shift: int) -> dict:
         block = xs[at : at + phi]
         if any(block):
             f, ys = _conductor(M, block)
-            ys = ys if den == 1 else [Fraction(y, den) for y in ys]
+            ys = ys if den == 1 else _fractions(ys, den)
             out[at // phi * g + shift] = Cyclotomic(f, ys, True)
     return out
 

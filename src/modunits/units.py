@@ -110,7 +110,8 @@ def siegel_function(v: FracVector, trunc) -> PuiseuxSeries:
             c = Cyclotomic(S, [0] * (b * k % S) + [-1 if k % 2 else 1])
             terms[j] = terms[j] + c if j in terms else c
     quotient = PuiseuxSeries(D, terms, rel) * PuiseuxSeries(1, pentagonal_terms(rel), rel).inverse()
-    return PuiseuxSeries.monomial(-e_of(s * (r - 1) / 2), lead, trunc) * quotient
+    # -e(s(r-1)/2) = e(s(r-1)/2 + 1/2) is a rotation, so the product with q^lead stays in Q(zeta_S).
+    return (PuiseuxSeries.monomial(1, lead, trunc) * quotient).rotated(s * (r - 1) / 2 + Fraction(1, 2))
 
 
 def siegel_power_ord(v: FracVector, N: int) -> Fraction:

@@ -13,10 +13,12 @@ import modunits
 from modunits.cycloq import (
     Cyclotomic,
     CyclotomicDivisionError,
+    _poly_modular_inverse,
     _poly_mul,
     cyclotomic_polynomial,
     e_of,
     euler_phi,
+    unit_angle,
 )
 from modunits.qseries import PuiseuxSeries
 
@@ -303,3 +305,54 @@ def test_stored_order_is_the_conductor(x):
 )
 def test_known_conductors(built, order):
     assert built.order == order
+
+
+# Multiples lambda*e(t) of roots of unity: found by unit_angle, rotated by shifts, inverted as
+# e(-t)/lambda instead of by extended Euclid.
+
+
+def euclid_inverse(x):
+    return Cyclotomic(x.order, _poly_modular_inverse(list(x.coeffs), cyclotomic_polynomial(x.order)))
+
+
+@pytest.mark.parametrize("f", range(1, 121))
+def test_monomial_inverse_matches_euclid(f):
+    # For odd f, -zeta_f has order 2f, and Cyclotomic(f, ...) at f = 2 mod 4 is stored at f/2.
+    for k in range(f):
+        zeta = Cyclotomic(f, [0] * k + [1])
+        zeta_inverse = euclid_inverse(zeta) if zeta.order > 1 else 1 / zeta.rational_value()
+        for lam in (F(3, 7), F(-3, 7)):
+            x = zeta * lam
+            t = unit_angle(x)
+            assert t is not None and x.order % t.denominator == 0
+            assert x.rotated(-t).is_rational()
+            assert x.inverse() == zeta_inverse * (1 / lam)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        Cyclotomic.zero(),
+        1 + e_of(F(1, 5)),
+        F(3, 5) + F(4, 5) * e_of(F(1, 4)),  # (3 + 4i)/5: a unit of absolute value 1, no root of unity
+        e_of(F(1, 3)) + e_of(F(1, 5)),
+        e_of(F(1, 8)) + e_of(F(3, 8)),
+        e_of(F(1, 7)) + F(1, 10**9),  # within 1e-9 of a root of unity
+    ],
+)
+def test_unit_angle_rejects_non_monomials(x):
+    assert unit_angle(x) is None
+
+
+def test_unit_angle_of_wide_coordinates():
+    # 10^400 overflows a float; the angle comes from the leading bits of the coordinates.
+    x = e_of(F(3, 7)) * F(-(10**400), 3**250)
+    t = unit_angle(x)
+    assert t is not None and x == e_of(t) * x.rotated(-t).rational_value()
+    assert x.inverse() == euclid_inverse(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(elements(max_terms=40), mixed_sums()), st.integers(1, 60), st.integers(-60, 60))
+def test_rotation_is_the_product_by_e_of(x, den, k):
+    assert x.rotated(F(k, den)) == x * e_of(F(k, den))

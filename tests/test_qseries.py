@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modunits.classical import eta
-from modunits.cycloq import Cyclotomic, euler_phi
+from modunits.cycloq import Cyclotomic, e_of, euler_phi, unit_angle
 from modunits.qseries import PuiseuxSeries, TruncationError, WeightMismatchError, product_family
 
 
@@ -321,12 +321,12 @@ def cyclotomic(draw, order, bits):
 
 
 @st.composite
-def series(draw, orders, bits=200, steps=60):
-    """A series on denom 1..12 with Laurent keys, known up to 1..steps lattice steps past its
-    lowest key (a trunc on or off the lattice), with coefficients of the field orders given
-    (1 is rational) and coordinates up to 2^bits."""
+def series(draw, orders, bits=200, steps=60, span=48):
+    """A series on denom 1..12 with Laurent keys in -8..-8+span, known up to 1..steps lattice
+    steps past its lowest key (a trunc on or off the lattice), with coefficients of the field
+    orders given (1 is rational) and coordinates up to 2^bits."""
     denom = draw(st.integers(1, 12))
-    keys = draw(st.lists(st.integers(-8, 40), min_size=1, max_size=7, unique=True))
+    keys = draw(st.lists(st.integers(-8, -8 + span), min_size=1, max_size=7, unique=True))
     terms = {}
     for k in keys:
         order = draw(st.sampled_from(orders))
@@ -406,3 +406,79 @@ def test_high_truncation_inverse_and_powers():
     inv = s.inverse()
     assert (s * inv - 1).is_zero()
     assert ((s**3) * inv**3 - 1).is_zero()
+
+
+# Series led by lambda*e(t) are powered and inverted over the field of e(-t) times the series.
+
+
+def pairwise_power(a, n):
+    """a**n by binary powering on pairwise_product, through recurrence_inverse for n < 0."""
+    if n == 0:
+        return PuiseuxSeries.one(a.trunc - a.ord())
+    if n < 0:
+        a, n = recurrence_inverse(a), -n
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else pairwise_product(result, a)
+        n >>= 1
+        if n:
+            a = pairwise_product(a, a)
+    return result
+
+
+def led_by(s, lead):
+    """s with its lowest term (or, for the zero series, the last key below trunc) set to lead."""
+    v = min(s.terms) if s.terms else ceil(s.trunc * s.denom) - 1
+    return PuiseuxSeries(s.denom, {**s.terms, v: lead}, s.trunc)
+
+
+@st.composite
+def unit_led(draw):
+    """A series whose lowest coefficient is lambda*e(t), lambda rational of either sign and den t
+    at most 60; the other coefficients as in ``operand``, fewer and smaller.  Powers up to the
+    144th of coefficients in a field of degree above 24 make the oracles too slow."""
+    orders = draw(field_orders.filter(lambda orders: euler_phi(lcm(*orders)) <= 24))
+    s = draw(series(orders, bits=4, steps=12, span=12))
+    m = lcm(*orders)
+    den = draw(st.sampled_from([d for d in range(1, 61) if euler_phi(lcm(m, d)) <= 24]))
+    lam = draw(rational(4).filter(bool))
+    return led_by(s, e_of(F(draw(st.integers(0, den - 1)), den)) * lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_led(), st.integers(-144, 144))
+def test_unit_led_power_matches_pairwise(a, n):
+    assert (a**n).to_json() == pairwise_power(a, n).to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_led())
+def test_unit_led_inverse_matches_recurrence(a):
+    assert a.inverse().to_json() == recurrence_inverse(a).to_json()
+
+
+def test_power_of_the_zero_series():
+    zero = PuiseuxSeries.zero(F(5, 2))
+    for n in (1, 2, 3, 144):
+        assert (zero**n).to_json() == pairwise_power(zero, n).to_json()
+        assert (zero**n).is_zero()
+
+
+@pytest.mark.parametrize("lead", [e_of(F(5, 12)) * F(-3, 2), e_of(F(1, 7)), F(2, 3)])
+def test_single_term_powers_and_inverse(lead):
+    a = PuiseuxSeries.monomial(lead, F(-1, 3), 4, two_pi_i_power=1)
+    for n in (-144, -5, -1, 0, 1, 2, 7, 144):
+        assert (a**n).to_json() == pairwise_power(a, n).to_json()
+    assert a.inverse().to_json() == recurrence_inverse(a).to_json()
+
+
+@pytest.mark.parametrize("lead", [1 + e_of(F(1, 5)), F(3, 5) + F(4, 5) * e_of(F(1, 4))])
+def test_units_that_are_no_root_of_unity_multiple(lead):
+    # 1 + zeta_5 and (3 + 4i)/5 are units but no rational multiple of a root of unity: the
+    # kernel runs on the series as given.
+    assert unit_angle(lead) is None
+    a = led_by(PuiseuxSeries(2, {1: e_of(F(1, 3)), 4: F(5, 2), 7: 1}, 6), lead)
+    for n in (-3, -1, 2, 5):
+        assert (a**n).to_json() == pairwise_power(a, n).to_json()
+    assert a.inverse().to_json() == recurrence_inverse(a).to_json()

@@ -87,6 +87,24 @@ class TestSiegelFunction:
         klein_form_0_half(4)
         siegel_function(v, 2) ** 60
 
+    def test_powers_run_over_the_unit_free_field(self, monkeypatch):
+        # g[1/12, 5/12] lies in Q(zeta_288), but -e(s(r-1)/2) times it in Q(zeta_12): every
+        # kernel product of its powers and inverses runs there.
+        fields = []
+        kron_mul = qseries._kron_mul
+
+        def spy(xa, xb, n, M):
+            fields.append(M)
+            return kron_mul(xa, xb, n, M)
+
+        monkeypatch.setattr(qseries, "_kron_mul", spy)
+        g = siegel_function(FracVector(F(1, 12), F(5, 12)), 2)
+        assert max(c.order for c in g.terms.values()) == 288
+        for n in (144, -144):
+            fields.clear()
+            assert (g**n).ord() == n * g.ord()
+            assert fields and all(12 % M == 0 for M in fields), sorted(set(fields))
+
 
 class TestSiegelPowerOrd:
     def test_half_half_level_2(self):
