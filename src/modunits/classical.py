@@ -80,19 +80,21 @@ def eisenstein(which: str, trunc) -> PuiseuxSeries:
     return PuiseuxSeries(1, terms, trunc, two_pi_i_power=weight).scaled(scale)
 
 
+def _g2_cube_and_discriminant(trunc: Fraction) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+    """g2^3 and Delta = g2^3 - 27*g3^2, from one g2 and one cube."""
+    g2_cube = eisenstein("g2", trunc) ** 3
+    g3 = eisenstein("g3", trunc)
+    return g2_cube, (g2_cube - (g3**2).scaled(27)).truncated_to(trunc)
+
+
 def discriminant(trunc) -> PuiseuxSeries:
     """Delta = g2^3 - 27*g3^2, a (2 pi i)^12-tagged series with leading term q."""
-    trunc = Fraction(trunc)
-    g2 = eisenstein("g2", trunc)
-    g3 = eisenstein("g3", trunc)
-    return (g2**3 - (g3**2).scaled(27)).truncated_to(trunc)
+    return _g2_cube_and_discriminant(Fraction(trunc))[1]
 
 
 def j_function(trunc) -> PuiseuxSeries:
     """The elliptic modular function, computed as 1728 * g2^3 / Delta."""
     trunc = Fraction(trunc)
-    pad = trunc + 2
-    g2 = eisenstein("g2", pad)
-    num = (g2**3).scaled(1728)
-    j = num * discriminant(pad).inverse()
+    g2_cube, delta = _g2_cube_and_discriminant(trunc + 2)
+    j = g2_cube.scaled(1728) * delta.inverse()
     return j.truncated_to(min(j.trunc, trunc))

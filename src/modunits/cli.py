@@ -25,8 +25,9 @@ MAX_CUSP_LEVEL = 500
 MAX_RANK_LEVEL = 18
 # Truncations (|--trunc|), h1N/hN levels, the level of expand's index vectors (the lcm of their
 # denominators) and --samples are refused above these.  At trunc 1000 on a 2-vCPU VM the slowest
-# commands are expand wunit at level 5 (26 s; 9 s at level 6), verify g14-eta (7 s), h1N at
-# N = 31 (5.5 s) and expand siegel at level 6 (2 s); phi-siegel takes about 6 ms a sample.
+# commands are expand wunit at level 5 (25 s, most of it in big-int products; 3 s at level 6),
+# verify g14-eta (14 s), h1N at N = 31 (10 s) and expand siegel at level 6 (1 s); phi-siegel
+# takes about 7 ms a sample.
 # Past the index cap, wunit at level 11 took 391 s and siegel 1/12 1/11 (level 132) 14.5 s.
 MAX_TRUNC = 1000
 MAX_UNIT_LEVEL = 36

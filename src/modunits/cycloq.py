@@ -2,13 +2,16 @@
 
 A cyclotomic number is stored at its conductor f, the least f with the number
 in Q(zeta_f), in the power basis 1, zeta_f, ..., zeta_f^{phi(f)-1} modulo the
-f-th cyclotomic polynomial.  So equal numbers have equal (order, coordinates),
-and equality and hashing compare those.  Coordinates are ``fractions.Fraction``.
+f-th cyclotomic polynomial.  Its coordinates are integer numerators over one
+positive denominator that shares no factor with all of them, so equal numbers
+have equal (order, numerators, denominator), and equality and hashing compare
+those.  Sums, products, rotations and the conductor search all run on the
+integers; ``coeffs`` builds the coordinates as ``fractions.Fraction``s on demand.
 
 A rational multiple lambda*e(t) of a root of unity is recognised by ``unit_angle``.  It
 rotates by e(-t) to a rational, so it inverts as e(-t)/lambda; any other value inverts by
-the extended Euclidean algorithm.  A rotation by e(t) is a shift of integer coordinates in
-Z[x]/(x^L - 1), reduced mod Phi_L once.
+the extended Euclidean algorithm over Fractions.  A rotation by e(t) is a shift of integer
+coordinates in Z[x]/(x^L - 1), reduced mod Phi_L once.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 
 _ZERO = Fraction(0)
@@ -84,16 +87,13 @@ def _crt_split(order: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple((i * w % p, i * u % d) for i in range(euler_phi(order)))
 
 
-def _descend(order: int, p: int, xs: list):
-    """Coordinates over Q(zeta_(order/p)), p || order, of the element with coordinates xs over
-    Q(zeta_order), of the same type (int or Fraction), or None when it is not in that field.
+def _descend(order: int, p: int, xs: list[int]) -> list[int] | None:
+    """Integer coordinates over Q(zeta_(order/p)), p || order, of the element with integer
+    coordinates xs over Q(zeta_order), or None when it is not in that field.
 
     With y_t the part at zeta_p^t, the element is sum_(t<p-1) (y_t - y_(p-1)) zeta_p^t over
     Q(zeta_d), as 1, zeta_p, ..., zeta_p^(p-2) is a basis there.
     """
-    fractions = type(xs[0]) is Fraction
-    if fractions:  # the same work on integers over one denominator
-        xs, den = _integers(xs)
     d = order // p
     ys = [[0] * d for _ in range(p)]
     for (t, j), x in zip(_crt_split(order, p), xs):
@@ -104,22 +104,10 @@ def _descend(order: int, p: int, xs: list):
         diff = [a - b for a, b in zip(ys[t], last)]
         if any(diff) and any(_poly_divmod(diff, mod)[1]):
             return None
-    out = _poly_divmod([a - b for a, b in zip(ys[0], last)], mod)[1]
-    return _fractions(out, den) if fractions else out
+    return _poly_divmod([a - b for a, b in zip(ys[0], last)], mod)[1]
 
 
-def _integers(xs) -> tuple[list[int], int]:
-    """Integer coordinates of the Fractions xs over their least common denominator, and that denominator."""
-    den = lcm(*(c.denominator for c in xs))
-    return [c.numerator * (den // c.denominator) for c in xs], den
-
-
-def _fractions(xs: list[int], den: int) -> list[Fraction]:
-    """The Fractions x/den; zeros, most coordinates of a sparse element, share one instance."""
-    return [Fraction(x, den) if x else _ZERO for x in xs]
-
-
-def _rotate(order: int, xs: list, t: Fraction) -> tuple[int, list]:
+def _rotate(order: int, xs: list[int], t: Fraction) -> tuple[int, list[int]]:
     """L = lcm(order, den t) and the coordinates over Q(zeta_L) of e(t) times the element with
     coordinates xs over Q(zeta_order): a shift of the lifted coordinates in Z[x]/(x^L - 1),
     reduced mod Phi_L once."""
@@ -139,10 +127,9 @@ def unit_angle(x: "Cyclotomic") -> Fraction | None:
     The roots of unity of Q(zeta_f) are +-zeta_f^k, so t = k/f is the angle of x or of -x.  The
     angle of x as a float names the one candidate k, and a rotation by -k/f confirms it exactly.
     """
-    f = x.order
+    f, xs = x.order, x.nums
     if f == 1:
-        return Fraction(0) if x.coeffs[0] else None
-    xs = _integers(x.coeffs)[0]
+        return Fraction(0) if xs[0] else None
     drop = max(0, max(map(abs, xs)).bit_length() - 60)  # floats of the leading bits never overflow
     z = sum((c >> drop) * cmath.exp(2j * cmath.pi * i / f) for i, c in enumerate(xs) if c)
     if not z:
@@ -161,9 +148,9 @@ def unit_angle(x: "Cyclotomic") -> Fraction | None:
     return Fraction(k, f) if not any(rest[1:]) else None
 
 
-def _conductor(order: int, xs: list) -> tuple[int, list]:
-    """The conductor f of the element with reduced coordinates xs (ints or Fractions) over
-    Q(zeta_order), and its coordinates over Q(zeta_f), of the same type."""
+def _conductor(order: int, xs: list[int]) -> tuple[int, list[int]]:
+    """The conductor f of the element with reduced integer coordinates xs over Q(zeta_order),
+    and its coordinates over Q(zeta_f)."""
     if not any(xs[1:]):
         return 1, xs[:1]
     primes = _prime_factors(order)
@@ -181,37 +168,63 @@ def _conductor(order: int, xs: list) -> tuple[int, list]:
     return order, xs
 
 
+def _lowest_terms(xs: list[int], den: int) -> tuple[list[int], int]:
+    """The integers xs over den > 0, both divided by their gcd."""
+    h = gcd(den, *xs) if den > 1 else 1
+    return ([x // h for x in xs], den // h) if h > 1 else (xs, den)
+
+
 class Cyclotomic:
-    """An exact element of Q(zeta_order), order its conductor: 1 for rationals, never 2 mod 4."""
+    """An exact element of Q(zeta_order), order its conductor: 1 for rationals, never 2 mod 4.
 
-    __slots__ = ("order", "coeffs")
+    The coordinates are the integers ``nums`` over the one denominator ``den > 0``, with
+    gcd(den, *nums) = 1.  ``Cyclotomic(order, coeffs)`` takes any rationals; with ``_den`` the
+    coeffs are integer numerators over that positive denominator.  ``_at_conductor`` promises
+    that they are reduced coordinates over Q(zeta_order) with order the conductor.
+    """
 
-    def __init__(self, order: int, coeffs, _at_conductor: bool = False):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    __slots__ = ("order", "nums", "den")
+
+    def __init__(self, order: int, coeffs, _at_conductor: bool = False, _den: int | None = None):
+        if _den is None:
+            cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+            den = lcm(*(c.denominator for c in cs))
+            nums = [c.numerator * (den // c.denominator) for c in cs]
+        else:
+            nums, den = coeffs, _den
         if not _at_conductor:
             phi = euler_phi(order)
-            if len(cs) > phi:
-                cs = _poly_divmod(cs, cyclotomic_polynomial(order))[1]
+            if len(nums) > phi:
+                nums = _poly_divmod(nums, cyclotomic_polynomial(order))[1]
             else:
-                cs.extend([Fraction(0)] * (phi - len(cs)))
-            order, cs = _conductor(order, cs)
+                nums = list(nums) + [0] * (phi - len(nums))
+            order, nums = _conductor(order, nums)
+        nums, den = _lowest_terms(nums, den)
         self.order = order
-        self.coeffs = tuple(cs)
+        self.nums = tuple(nums)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, built on each call."""
+        den = self.den
+        return tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
 
     @classmethod
     def from_rational(cls, x) -> "Cyclotomic":
-        return cls(1, [Fraction(x)], True)
+        x = x if type(x) in (int, Fraction) else Fraction(x)
+        return cls(1, [x.numerator], True, x.denominator)
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
-        return cls(1, [Fraction(0)], True)
+        return cls(1, [0], True, 1)
 
     @classmethod
     def one(cls) -> "Cyclotomic":
-        return cls(1, [Fraction(1)], True)
+        return cls(1, [1], True, 1)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
         return self.order == 1
@@ -219,28 +232,30 @@ class Cyclotomic:
     def rational_value(self) -> Fraction:
         if self.order != 1:
             raise ValueError("element is not stored as a rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
+
+    def _lifted(self, order: int) -> list[int]:
+        """The numerators over self.den inside Q(zeta_order), a multiple of self.order."""
+        if order == self.order:
+            return list(self.nums)
+        step = order // self.order
+        out = [0] * (len(self.nums) * step)
+        out[::step] = self.nums
+        return _poly_divmod(out, cyclotomic_polynomial(order))[1]
 
     def lifted_coeffs(self, order: int) -> list[Fraction]:
         """Coordinates of self inside Q(zeta_order); self.order must divide order."""
         if order % self.order:
             raise ValueError(f"{self.order} does not divide {order}")
-        if order == self.order:
-            return list(self.coeffs)
-        step = order // self.order
-        out = [Fraction(0)] * (len(self.coeffs) * step)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return _poly_divmod(out, cyclotomic_polynomial(order))[1]
+        return [Fraction(x, self.den) for x in self._lifted(order)]
 
     def rotated(self, t) -> "Cyclotomic":
         """self * e(t) for rational t, by a shift of integer coordinates."""
         t = Fraction(t) % 1
         if not t:
             return self
-        xs, den = _integers(self.coeffs)
-        f, ys = _conductor(*_rotate(self.order, xs, t))
-        return Cyclotomic(f, _fractions(ys, den), True)
+        f, ys = _conductor(*_rotate(self.order, self.nums, t))
+        return Cyclotomic(f, ys, True, self.den)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -249,15 +264,21 @@ class Cyclotomic:
             return NotImplemented
         if self.order == 1 or other.order == 1:
             # Adding a rational moves the constant coordinate alone and keeps the conductor.
-            x, r = (other, self.coeffs[0]) if self.order == 1 else (self, other.coeffs[0])
-            return Cyclotomic(x.order, (x.coeffs[0] + r,) + x.coeffs[1:], True)
+            x, r = (other, self) if self.order == 1 else (self, other)
+            p, q = r.nums[0], r.den
+            nums = [c * q for c in x.nums]
+            nums[0] += p * x.den
+            return Cyclotomic(x.order, nums, True, x.den * q)
         m = lcm(self.order, other.order)
-        return Cyclotomic(m, [x + y for x, y in zip(self.lifted_coeffs(m), other.lifted_coeffs(m))])
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        nums = [x * sa + y * sb for x, y in zip(self._lifted(m), other._lifted(m))]
+        return Cyclotomic(m, nums, False, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs], True)
+        return Cyclotomic(self.order, [-c for c in self.nums], True, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -274,21 +295,24 @@ class Cyclotomic:
             return NotImplemented
         if self.order == 1 or other.order == 1:
             # A nonzero rational factor scales the other side's coordinates and keeps its conductor.
-            x, r = (other, self.coeffs[0]) if self.order == 1 else (self, other.coeffs[0])
-            return Cyclotomic(x.order, [c * r for c in x.coeffs], True) if r else Cyclotomic.zero()
+            x, r = (other, self) if self.order == 1 else (self, other)
+            p = r.nums[0]
+            if not p:
+                return Cyclotomic.zero()
+            return Cyclotomic(x.order, [c * p for c in x.nums], True, x.den * r.den)
         m = lcm(self.order, other.order)
-        return Cyclotomic(m, _poly_mul(self.lifted_coeffs(m), other.lifted_coeffs(m)))
+        return Cyclotomic(m, _poly_mul(self._lifted(m), other._lifted(m)), False, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise CyclotomicDivisionError("cyclotomic division by zero")
-        if self.order == 1:
-            return Cyclotomic(1, [1 / self.coeffs[0]], True)
         t = unit_angle(self)
-        if t is not None:  # (lambda e(t))^-1 = e(-t) / lambda
-            return Cyclotomic(1, [1 / self.rotated(-t).coeffs[0]], True).rotated(-t)
+        if t is not None:  # (lambda e(t))^-1 = e(-t) / lambda, t = 0 for a rational
+            lam = self.rotated(-t)
+            p = lam.nums[0]
+            return Cyclotomic(1, [lam.den if p > 0 else -lam.den], True, abs(p)).rotated(-t)
         inv = _poly_modular_inverse(list(self.coeffs), cyclotomic_polynomial(self.order))
         return Cyclotomic(self.order, inv)
 
@@ -316,14 +340,16 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.order == 1 and self.coeffs[0] == other
+            return self.order == 1 and self.nums[0] == other.numerator and self.den == other.denominator
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        # A rational hashes as its Fraction, as it compares equal to it.
-        return hash(self.coeffs[0]) if self.order == 1 else hash((self.order, self.coeffs))
+        # A rational hashes as its Fraction (an integer as its int), as it compares equal to it.
+        if self.order == 1:
+            return hash(self.nums[0]) if self.den == 1 else hash(Fraction(self.nums[0], self.den))
+        return hash((self.order, self.den, self.nums))
 
     def to_complex(self) -> complex:
         """Embed via zeta_order -> exp(2*pi*i/order)."""
@@ -335,7 +361,7 @@ class Cyclotomic:
 
     def __repr__(self):
         if self.order == 1:
-            return f"Cyclotomic({self.coeffs[0]})"
+            return f"Cyclotomic({self.rational_value()})"
         return f"Cyclotomic(order={self.order}, coeffs={list(self.coeffs)})"
 
 

@@ -6,19 +6,23 @@ nothing at or above ``trunc`` is ever trusted.
 
 Every product goes through one kernel over Q(zeta_M), M the lcm of the orders
 of all coefficients: both series are shifted to exponent 0, their keys divided
-by the gcd of all keys, every coefficient scaled to integer coordinates over
-Q(zeta_M), and the whole product is one big-int multiplication by Kronecker
-substitution (each coordinate in a slot wide enough for its proven bound),
-each output coefficient reduced mod Phi_M once and stored at its conductor.
-Every inverse is Newton iteration on the same kernel.  As cyclotomic values
-are stored at their conductors, the field the kernel works in does not show
-in the result.
+by the gcd of all keys, and their integer numerators lifted to Q(zeta_M) and
+laid out flat over one common denominator (``_dense``).  The whole product is
+one big-int multiplication by Kronecker substitution (each coordinate in a slot
+wide enough for its proven bound), each output coefficient reduced mod Phi_M
+once, and ``_sparse`` stores each at its conductor.  Every inverse is Newton
+iteration on the same kernel, and every power binary powering on it: one
+``_dense``, squares and products of the one flat list (numerators and
+denominator divided by their gcd after each), and one ``_sparse``.  As
+cyclotomic values are stored at their conductors, the field the kernel works
+in does not show in the result.
 
 Powers and inverses run over the field of the unit-free series: when the
 lowest coefficient is lambda*e(t), lambda rational, the series is rotated by
-e(-t) first, its power or inverse taken, and the result rotated back by e(nt)
-or e(-t).  A Siegel function lies in Q(zeta_288) at level 12, its unit-free
-part in Q(zeta_12).
+e(-t) first, its power or inverse taken, and the result rotated once by e(nt)
+or e(-t); a negative power inverts the unit-free series and powers that.  A
+Siegel function lies in Q(zeta_288) at level 12, its unit-free part in
+Q(zeta_12).
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from fractions import Fraction
 from math import ceil, gcd, lcm
 
 from .cycloq import (
-    Cyclotomic, _conductor, _fractions, _poly_divmod, cyclotomic_polynomial, euler_phi, unit_angle,
+    Cyclotomic, _conductor, _lowest_terms, _poly_divmod, cyclotomic_polynomial, euler_phi, unit_angle,
 )
 
 
@@ -185,18 +189,19 @@ class PuiseuxSeries:
         """Multiplicative inverse: self * inverse() == 1 up to truncation."""
         if self.is_zero():
             raise ZeroDivisionError("cannot invert the zero series")
+        t = _leading_angle(self.terms)
+        return self._unit_free_inverse(t).rotated(-t)
+
+    def _unit_free_inverse(self, t) -> "PuiseuxSeries":
+        """The inverse of e(-t)*self, self nonzero, by Newton's iteration from key 0.  With the
+        lowest coefficient lambda*e(t), that is the series over the field of the unit-free part."""
         d = self.denom
         v = min(self.terms)  # ord * d
         rel_prec = self.trunc * d - v  # known relative lattice length
-        n_steps = ceil(rel_prec)  # every lattice step k < rel_prec is known
-        # With a leading coefficient lambda*e(t), Newton runs on the unit-free series e(-t)*self.
-        t = _leading_angle(self.terms)
         a = _rotated({k - v: c for k, c in self.terms.items()}, -t)
-        b = _rotated(_newton_inverse(a, n_steps, lcm(*(c.order for c in a.values()))), -t)
+        b = _newton_inverse(a, ceil(rel_prec), lcm(*(c.order for c in a.values())))
         trunc = self.trunc - 2 * Fraction(v, d)
-        return PuiseuxSeries(
-            d, {k - v: c for k, c in b.items()}, trunc, -self.two_pi_i_power
-        )
+        return PuiseuxSeries(d, {k - v: c for k, c in b.items()}, trunc, -self.two_pi_i_power)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -204,21 +209,45 @@ class PuiseuxSeries:
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
-            return self.inverse() ** (-n)
+            # self^n = e(nt) * ((e(-t)*self)^-1)^-n, the inverse left unit-free.
+            t = _leading_angle(self.terms)
+            return self._unit_free_inverse(t)._power(-n).rotated(n * t)
         if n == 0:
             if self.is_zero():
                 raise ZeroDivisionError("0**0 is undefined for series")
             return PuiseuxSeries.one(self.trunc - self.ord())
         # With a leading coefficient lambda*e(t), self^n = e(nt) * (e(-t)*self)^n.
         t = _leading_angle(self.terms)
-        result, base, k = None, self.rotated(-t), n
-        while k:
+        return self.rotated(-t)._power(n).rotated(n * t)
+
+    def _power(self, n: int) -> "PuiseuxSeries":
+        """self^n, n >= 1, by binary powering in the kernel's flat form: one _dense, then squares
+        and products of one integer coordinate list over one denominator, then one _sparse.
+
+        The n-th power starts at n*v and is known below trunc + (n - 1)*v/d, as a chain of
+        products gives, so every power is known on the same relative keys k - n*v < trunc*d - v,
+        all multiples of the gcd g of the base's relative keys."""
+        d, p = self.denom, self.two_pi_i_power
+        if not self.terms:
+            return PuiseuxSeries(d, {}, n * self.trunc, n * p)
+        if n == 1:
+            return self
+        v = min(self.terms)
+        limit = ceil(self.trunc * d - v)
+        g = gcd(*(k - v for k in self.terms if k - v < limit)) or limit
+        slots = -(-limit // g)
+        M = lcm(*(c.order for c in self.terms.values()))
+        x, lx = _dense(self.terms, v, M, g, limit)
+        y, ly, k = None, None, n  # the product of the powers x^(2^i) taken so far
+        while True:
             if k & 1:
-                result = base if result is None else result * base
+                y, ly = (x, lx) if y is None else _lowest_terms(_kron_mul(y, x, slots, M), ly * lx)
             k >>= 1
-            if k:
-                base = base * base
-        return result.rotated(n * t)
+            if not k:
+                break
+            x, lx = _lowest_terms(_kron_mul(x, x, slots, M), lx * lx)
+        trunc = self.trunc + (n - 1) * Fraction(v, d)
+        return PuiseuxSeries(d, _sparse(y, ly, M, g, n * v), trunc, n * p)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -359,11 +388,7 @@ def _newton_inverse(a: dict, n_steps: int, M: int) -> dict:
         e[0] -= scale
         c = _kron_mul(y[: (q - p) * phi], e[p * phi :], q - p, M)
         # b - b*e over the denominator scale*ly: b's p slots, then -b*e at slots p..q-1.
-        y = [t * scale for t in y] + [-t for t in c]
-        ly *= scale
-        h = gcd(ly, *y)
-        if h > 1:
-            y, ly = [t // h for t in y], ly // h
+        y, ly = _lowest_terms([t * scale for t in y] + [-t for t in c], ly * scale)
         p = q
     return _sparse(y, ly, M, g, 0)
 
@@ -372,15 +397,13 @@ def _dense(terms: dict, v: int, M: int, g: int, limit: int) -> tuple[list[int], 
     """Integer coordinates over Q(zeta_M) of the terms at keys v + s*g, s*g < limit,
     coordinate j of slot s at s*phi(M) + j, and the common denominator they are scaled by."""
     phi = euler_phi(M)
-    rows = []
-    for k, c in terms.items():
-        if k - v < limit:
-            rows.append(((k - v) // g * phi, c.coeffs if c.order in (1, M) else c.lifted_coeffs(M)))
-    den = lcm(*(x.denominator for _, coords in rows for x in coords))
+    rows = [((k - v) // g * phi, c) for k, c in terms.items() if k - v < limit]
+    den = lcm(*(c.den for _, c in rows))
     xs = [0] * (-(-limit // g) * phi)
-    for at, coords in rows:
-        for j, x in enumerate(coords):
-            xs[at + j] = x.numerator * (den // x.denominator)
+    for at, c in rows:
+        coords = c.nums if c.order in (1, M) else c._lifted(M)
+        scale = den // c.den
+        xs[at : at + len(coords)] = [x * scale for x in coords] if scale != 1 else coords
     return xs, den
 
 
@@ -393,8 +416,7 @@ def _sparse(xs: list[int], den: int, M: int, g: int, shift: int) -> dict:
         block = xs[at : at + phi]
         if any(block):
             f, ys = _conductor(M, block)
-            ys = ys if den == 1 else _fractions(ys, den)
-            out[at // phi * g + shift] = Cyclotomic(f, ys, True)
+            out[at // phi * g + shift] = Cyclotomic(f, ys, True, den)
     return out
 
 

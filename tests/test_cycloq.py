@@ -13,6 +13,8 @@ import modunits
 from modunits.cycloq import (
     Cyclotomic,
     CyclotomicDivisionError,
+    _crt_split,
+    _poly_divmod,
     _poly_modular_inverse,
     _poly_mul,
     cyclotomic_polynomial,
@@ -356,3 +358,141 @@ def test_unit_angle_of_wide_coordinates():
 @given(st.one_of(elements(max_terms=40), mixed_sums()), st.integers(1, 60), st.integers(-60, 60))
 def test_rotation_is_the_product_by_e_of(x, den, k):
     assert x.rotated(F(k, den)) == x * e_of(F(k, den))
+
+
+# Representation: integer numerators over one positive denominator, no common factor, at the
+# conductor.  The oracle is the arithmetic on one Fraction per coordinate that it replaced: lift
+# to the compositum, multiply by _poly_mul, reduce mod Phi, and find the conductor on Fractions.
+
+
+def ref_reduce(order, coords):
+    coords = [F(c) for c in coords]
+    phi = euler_phi(order)
+    if len(coords) > phi:
+        return _poly_divmod(coords, cyclotomic_polynomial(order))[1]
+    return coords + [F(0)] * (phi - len(coords))
+
+
+def ref_descend(order, p, xs):
+    d = order // p
+    ys = [[F(0)] * d for _ in range(p)]
+    for (t, j), x in zip(_crt_split(order, p), xs):
+        ys[t][j] = x
+    mod = cyclotomic_polynomial(d)
+    for t in range(1, p - 1):
+        if any(_poly_divmod([a - b for a, b in zip(ys[t], ys[-1])], mod)[1]):
+            return None
+    return _poly_divmod([a - b for a, b in zip(ys[0], ys[-1])], mod)[1]
+
+
+def ref_canonical(order, coords):
+    """(conductor, Fraction coordinates there) of the element with coords over Q(zeta_order)."""
+    xs = ref_reduce(order, coords)
+    if not any(xs[1:]):
+        return 1, (xs[0],)
+    primes = prime_divisors(order)
+    for p in primes:
+        while order % (p * p) == 0 and not any(any(xs[r::p]) for r in range(1, p)):
+            xs, order = xs[::p], order // p
+    for p in primes:
+        if order % p == 0 and order % (p * p):
+            ys = ref_descend(order, p, xs)
+            if ys is not None:
+                xs, order = ys, order // p
+    return order, tuple(xs)
+
+
+def ref_lift(x, m):
+    order, coords = x
+    poly = [F(0)] * m
+    for i, c in enumerate(coords):
+        poly[i * (m // order)] = c
+    return ref_reduce(m, poly)
+
+
+def ref_add(x, y):
+    m = lcm(x[0], y[0])
+    return ref_canonical(m, [a + b for a, b in zip(ref_lift(x, m), ref_lift(y, m))])
+
+
+def ref_mul(x, y):
+    m = lcm(x[0], y[0])
+    return ref_canonical(m, _poly_mul(ref_lift(x, m), ref_lift(y, m)))
+
+
+def ref_rotate(x, t):
+    return ref_mul(x, ref_canonical(t.denominator, [0] * (t.numerator % t.denominator) + [1]))
+
+
+def ref_inverse(x):
+    order, coords = x
+    if order == 1:
+        return 1, (1 / coords[0],)
+    return ref_canonical(order, _poly_modular_inverse(list(coords), cyclotomic_polynomial(order)))
+
+
+def stored(x):
+    return x.order, x.coeffs
+
+
+wide_fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+
+
+@st.composite
+def raw_elements(draw, max_terms=40):
+    """(order, coordinate list) before any reduction: short and long lists, rationals with
+    small and with large denominators, zeros often."""
+    order = draw(orders)
+    coords = st.one_of(st.just(F(0)), small_fractions, wide_fractions)
+    return order, draw(st.lists(coords, min_size=1, max_size=min(2 * order, max_terms)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_elements(), raw_elements(), st.integers(1, 60), st.integers(-60, 60))
+def test_every_result_is_reduced_over_one_denominator(a, b, den, k):
+    x, y = Cyclotomic(*a), Cyclotomic(*b)
+    for z in (x, y, x + y, x - y, x * y, -x, x.rotated(F(k, den)), Cyclotomic.from_rational(F(k, den))):
+        assert z.den > 0 and gcd(z.den, *z.nums) == 1
+        assert len(z.nums) == euler_phi(z.order)
+        assert z.coeffs == tuple(F(n, z.den) for n in z.nums)
+        assert all(type(c) is F for c in z.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_elements(), st.integers(1, 4), wide_fractions)
+def test_equal_values_hash_equal_in_any_field(a, k, r):
+    x = Cyclotomic(*a)
+    for y in (Cyclotomic(x.order * k, x.lifted_coeffs(x.order * k)), x + 0, x * 1, (x + r) - r):
+        assert y == x and hash(y) == hash(x)
+    q = Cyclotomic.from_rational(r)
+    assert q == r and hash(q) == hash(r)
+    assert Cyclotomic(7, [r, 0, 0]) == r and hash(Cyclotomic(7, [r])) == hash(r)
+    n = Cyclotomic.from_rational(r.numerator)
+    assert n == r.numerator and hash(n) == hash(r.numerator) == hash(F(r.numerator))
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_elements(), raw_elements(), st.integers(1, 60), st.integers(-60, 60))
+def test_arithmetic_matches_the_fraction_oracle(a, b, den, k):
+    x, y = Cyclotomic(*a), Cyclotomic(*b)
+    rx, ry = ref_canonical(*a), ref_canonical(*b)
+    assert stored(x) == rx and stored(y) == ry
+    assert stored(x + y) == ref_add(rx, ry)
+    assert stored(x - y) == ref_add(rx, (ry[0], tuple(-c for c in ry[1])))
+    assert stored(x * y) == ref_mul(rx, ry)
+    assert stored(x.rotated(F(k, den))) == ref_rotate(rx, F(k, den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inverse_matches_the_fraction_oracle(data):
+    # At most 12 terms, as for the round trip above: the oracle is extended Euclid.
+    order = data.draw(orders)
+    coord = st.one_of(st.just(F(0)), small_fractions, wide_fractions)
+    coords = data.draw(st.lists(coord, min_size=1, max_size=12))
+    x = Cyclotomic(order, coords)
+    if x.is_zero():
+        return
+    if data.draw(st.booleans()):  # lambda * e(t): the rotation path
+        x = Cyclotomic.from_rational(coords[0] or 1) * e_of(F(data.draw(st.integers(0, 59)), 60))
+    assert stored(x.inverse()) == ref_inverse(stored(x))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from modunits.classical import eta
 from modunits.cycloq import Cyclotomic, e_of, euler_phi, unit_angle
 from modunits.qseries import PuiseuxSeries, TruncationError, WeightMismatchError, product_family
+from modunits.units import FracVector, siegel_function
 
 
 def geometric(trunc):
@@ -482,3 +483,21 @@ def test_units_that_are_no_root_of_unity_multiple(lead):
     for n in (-3, -1, 2, 5):
         assert (a**n).to_json() == pairwise_power(a, n).to_json()
     assert a.inverse().to_json() == recurrence_inverse(a).to_json()
+
+
+def test_kernel_outputs_are_built_through_init(monkeypatch):
+    # Counters that wrap Cyclotomic.__init__, as the benchmark tracer's largest field order and
+    # coordinate bits do, must see every coefficient the power and inverse kernels return.
+    seen = []
+    init = Cyclotomic.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.append(self)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", spy)
+    g = siegel_function(FracVector(F(1, 12), F(5, 12)), 2)
+    results = [g**144, g**-144, g.inverse()]
+    built = {id(c) for c in seen}
+    assert all(id(c) in built for s in results for c in s.terms.values())
+    assert max(c.order for c in seen) == 288
