@@ -346,10 +346,8 @@ class Cyclotomic:
         return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        # A rational hashes as its Fraction (an integer as its int), as it compares equal to it.
-        if self.order == 1:
-            return hash(self.nums[0]) if self.den == 1 else hash(Fraction(self.nums[0], self.den))
-        return hash((self.order, self.den, self.nums))
+        # A rational hashes as its Fraction, as it compares equal to it.
+        return hash(self.rational_value()) if self.order == 1 else hash((self.order, self.den, self.nums))
 
     def to_complex(self) -> complex:
         """Embed via zeta_order -> exp(2*pi*i/order)."""
