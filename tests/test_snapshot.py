@@ -35,7 +35,7 @@ def _congruent(u, v):
 
 
 def cases():
-    """(name, builder) pairs of the snapshot set, drawn from one seeded generator."""
+    """(name, function) pairs of the snapshot set, drawn from one seeded generator."""
     rng = random.Random(20121)
     out = []
     for n, trunc in ((5, F(2)), (7, F(3, 2)), (12, F(3, 2))):
