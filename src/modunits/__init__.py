@@ -27,8 +27,9 @@ from .cusps import (
     unit_group_rank,
 )
 
-# The numeric theta names load thetag, and numpy with it, on first use (PEP 562),
-# so that importing modunits for exact work does not pay for numpy.
+# The numeric theta names load thetag on first use (PEP 562), so that importing
+# modunits for exact work does not compile thetag (about 4 ms in a cold process
+# without a bytecode cache).  thetag imports numpy only for degrees above SMALL_G.
 _THETAG_NAMES = (
     "SiegelPoint",
     "ThetaChar",

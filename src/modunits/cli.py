@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import classical, cusps, units, verify
 from .qseries import PuiseuxSeries
 
-# thetag (and numpy with it) is imported only by the theta commands.
+# thetag is imported only by the theta commands, and numpy only by those above thetag.SMALL_G.
 
 # The lattice sum grows like R^g, so genera above this are refused before any work.
 MAX_THETA_GENUS = 8
@@ -48,7 +48,8 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_complex(text: str) -> complex:
     t = text.strip().replace(" ", "")
-    t = t.replace("i", "j")
+    if t.endswith("i"):  # only the unit: "inf" and "nan" keep theirs
+        t = t[:-1] + "j"
     if t.endswith("j") and t[:-1] in ("", "+", "-"):
         t = t[:-1] + "1j"
     try:

@@ -7,6 +7,16 @@ by level from the last coordinate to the first (Fincke-Pohst).  The radius R
 comes from the proven tail bound of Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, *Computing Riemann theta functions* (Math. Comp. 73, 2004): the terms
 left outside the ellipsoid sum to at most tol in absolute value.
+
+The sum has two paths, chosen by the degree g, with the same R and the same
+interval bounds per level.  Up to SMALL_G the smallest eigenvalue and the
+Cholesky factor come from closed forms, and the 10-60 terms are summed in plain
+floats with math and cmath, so these calls import no numpy.  Above SMALL_G the
+ellipsoid holds hundreds to thousands of points, and numpy expands every prefix
+of a level at once.  On points with lambda_min(Im Z) = 0.44 at tol 1e-12
+(2-vCPU VM, Python 3.11), the plain-float sum took 0.66x numpy's time at g = 2,
+but 2.2x, 6.5x and 7x at g = 3, 4 and 5, so SMALL_G is 2.  numpy is imported
+by the second path and by the array views SiegelPoint.Z and .cholesky.
 """
 from __future__ import annotations
 
@@ -14,44 +24,121 @@ import cmath
 # Unused here since the sum is over an ellipsoid, but bench/tracer.py patches itertools in this namespace.
 import itertools  # noqa: F401
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cycloq import e_of
 from .units import FracVector, GammaMatrix, siegel_function
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# Degrees up to this are summed in plain floats, degrees above it with numpy (see the module docstring).
+SMALL_G = 2
 
 
 class NotPositiveDefiniteError(ValueError):
     """Im Z must be positive definite on the Siegel upper half-space."""
 
 
-class SiegelPoint:
-    """A g x g complex symmetric matrix with positive-definite imaginary part."""
+def _square_rows(Z) -> tuple:
+    """Z as a tuple of rows of complex numbers, checked square, finite and symmetric to 1e-12."""
+    if hasattr(Z, "tolist"):  # a numpy array or scalar
+        Z = Z.tolist()
+    if isinstance(Z, numbers.Number):
+        Z = [[Z]]
+    try:
+        rows = tuple(tuple(complex(x) for x in row) for row in Z)
+    except TypeError as exc:  # a 1-D, 3-D or non-numeric input
+        raise ValueError("Z must be a square matrix") from exc
+    g = len(rows)
+    if g == 0 or any(len(row) != g for row in rows):
+        raise ValueError("Z must be a square matrix")
+    if not all(cmath.isfinite(z) for row in rows for z in row):
+        raise ValueError("Z must have finite entries")
+    if any(abs(rows[i][j] - rows[j][i]) > 1e-12 for i in range(g) for j in range(i)):
+        raise ValueError("Z must be symmetric to 1e-12")
+    return rows
 
-    __slots__ = ("g", "Z", "lambda_min", "cholesky")
+
+def _small_factor(rows) -> tuple:
+    """(lambda_min, U) for g <= 2 in closed form: the smallest eigenvalue of Im Z,
+    and the rows of the upper-triangular U with pi * Im Z = U^T U.
+
+    Like LAPACK, it reads the lower triangle of Im Z.
+    """
+    if len(rows) == 1:
+        y = rows[0][0].imag
+        if not y > 0:
+            raise NotPositiveDefiniteError(f"Im Z has smallest eigenvalue {y}")
+        return y, ((math.sqrt(math.pi * y),),)
+    a, b, c = rows[0][0].imag, rows[1][0].imag, rows[1][1].imag
+    mean, spread = (a + c) / 2, math.hypot((a - c) / 2, b)
+    # det / lambda_max: mean - spread would cancel when the eigenvalues are far apart.
+    lam = (a * c - b * b) / (mean + spread) if mean + spread > 0 else mean - spread
+    if not lam > 0:
+        raise NotPositiveDefiniteError(f"Im Z has smallest eigenvalue {lam}")
+    u00 = math.sqrt(math.pi * a)
+    u01 = math.pi * b / u00
+    d = math.pi * c - u01 * u01
+    if not d > 0:
+        raise NotPositiveDefiniteError(f"Im Z is not positive definite: pivot {d}")
+    return lam, ((u00, u01), (0.0, math.sqrt(d)))
+
+
+class SiegelPoint:
+    """A g x g complex symmetric matrix with positive-definite imaginary part.
+
+    Z and cholesky (the upper-triangular U with pi * Im Z = U^T U) are numpy
+    arrays.  Up to SMALL_G they are built on first access from the closed
+    forms; above it, at construction, with numpy's eigvalsh and Cholesky.
+    """
+
+    __slots__ = ("g", "lambda_min", "_rows", "_U", "_Z", "_cholesky")
 
     def __init__(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        if Z.ndim == 0:
-            Z = Z.reshape(1, 1)
-        if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-            raise ValueError("Z must be a square matrix")
-        if np.max(np.abs(Z - Z.T)) > 1e-12:
-            raise ValueError("Z must be symmetric to 1e-12")
+        rows = _square_rows(Z)
+        self.g = len(rows)
+        self._rows = rows
+        self._Z = self._cholesky = self._U = None
+        if self.g <= SMALL_G:
+            # U is shared by every characteristic at this point.
+            self.lambda_min, self._U = _small_factor(rows)
+            return
+        import numpy as np
+
+        Z = np.array(rows, dtype=complex)
         eigs = np.linalg.eigvalsh(Z.imag)
         if eigs[0] <= 0:
             raise NotPositiveDefiniteError(f"Im Z has smallest eigenvalue {eigs[0]}")
-        self.g = Z.shape[0]
-        self.Z = Z
+        self._Z = Z
         self.lambda_min = float(eigs[0])
         # Upper-triangular U with pi * Im Z = U^T U, shared by every characteristic at this point.
-        self.cholesky = np.linalg.cholesky(math.pi * Z.imag).T
+        # The transpose keeps LAPACK's column-major layout, which the enumeration reads faster.
+        self._cholesky = np.linalg.cholesky(math.pi * Z.imag).T
+
+    @property
+    def Z(self) -> np.ndarray:
+        if self._Z is None:
+            import numpy as np
+
+            self._Z = np.array(self._rows, dtype=complex)
+        return self._Z
+
+    @property
+    def cholesky(self) -> np.ndarray:
+        if self._cholesky is None:
+            import numpy as np
+
+            self._cholesky = np.array(self._U)
+        return self._cholesky
 
     @classmethod
     def diagonal(cls, taus) -> "SiegelPoint":
-        return cls(np.diag([complex(t) for t in taus]))
+        taus = [complex(t) for t in taus]
+        return cls([[t if i == j else 0j for j in range(len(taus))] for i, t in enumerate(taus)])
 
 
 @dataclass(frozen=True)
@@ -113,6 +200,8 @@ def ellipsoid_points(U: np.ndarray, c: np.ndarray, R: float) -> np.ndarray:
     level-i term is U_ii^2 (n_i - center)^2, so n_i ranges over an interval set by
     the squared radius left; every prefix is expanded to its interval at once.
     """
+    import numpy as np
+
     g = len(c)
     cols = []  # n_i.. over the prefixes kept so far
     partial = np.zeros((1, g))  # column k: sum of U_kj (n_j + c_j) over the fixed j
@@ -131,23 +220,79 @@ def ellipsoid_points(U: np.ndarray, c: np.ndarray, R: float) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _interval(center: float, rest: float, u: float) -> range:
+    """The integers n with (u (n - center))^2 <= rest: one level of ellipsoid_points."""
+    half = math.sqrt(max(rest, 0.0)) / u
+    return range(math.ceil(center - half), math.floor(center + half) + 1)
+
+
+def _small_ellipsoid(U, c, R: float) -> list:
+    """ellipsoid_points for g <= 2 in plain floats, with U as rows: the same levels
+    and interval bounds.  One (n_1.., range of n_0) pair per prefix, so a g = 1
+    ellipsoid is [((), range)]."""
+    rest = float(R) ** 2
+    if len(c) == 1:
+        return [((), _interval(-c[0], rest, U[0][0]))]
+    (u00, u01), (_, u11) = U
+    return [
+        ((n1,), _interval(-((n1 + c[1]) * u01) / u00 - c[0], rest - (u11 * (n1 + c[1])) ** 2, u00))
+        for n1 in _interval(-c[1], rest, u11)
+    ]
+
+
+def _theta_small(point: SiegelPoint, r: list, s: list, R: float) -> complex:
+    """The theta sum over _small_ellipsoid, in plain floats (g <= 2).
+
+    With x = n + r, the exponent 2 pi i (x^T Z x / 2 + x . s) is
+    x_0 (pi i Z_00 x_0 + b) + e, where b and e depend on x_1 alone: one
+    cmath.exp per term, and one per row.
+    """
+    rows = point._rows
+    pi_i = 1j * math.pi
+    a0, b0, r0 = pi_i * rows[0][0], 2 * pi_i * s[0], r[0]
+    total = 0j
+    for outer, n0s in _small_ellipsoid(point._U, r, R):
+        b, e = b0, 0j
+        if outer:
+            x1 = outer[0] + r[1]
+            b += pi_i * (rows[0][1] + rows[1][0]) * x1
+            e = x1 * (pi_i * rows[1][1] * x1 + 2 * pi_i * s[1])
+        row = 0j
+        for n0 in n0s:
+            x0 = n0 + r0
+            row += cmath.exp(x0 * (a0 * x0 + b))
+        total += row * cmath.exp(e)
+    return total
+
+
+def _theta_numpy(point: SiegelPoint, r: list, s: list, R: float) -> complex:
+    """The theta sum over ellipsoid_points, vectorised with numpy (any g)."""
+    import numpy as np
+
+    r, s = np.array(r), np.array(s)
+    x = ellipsoid_points(point.cholesky, r, R) + r  # rows n + r
+    quad = np.einsum("ij,jk,ik->i", x, point.Z, x) / 2.0
+    lin = x @ s
+    return complex(np.sum(np.exp(2j * np.pi * (quad + lin))))
+
+
 def theta_constant(ch: ThetaChar, point: SiegelPoint, tol: float = 1e-12, radius: float | None = None) -> complex:
     """Theta constant: sum over n in Z^g of e(t(n+r) Z (n+r)/2 + t(n+r) s).
 
     The sum runs over the ellipsoid ||U(n + r)|| <= R, with R from
-    truncation_radius unless radius overrides it.
+    truncation_radius unless radius overrides it: in plain floats up to
+    SMALL_G, with numpy above it.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if ch.g != point.g:
         raise ValueError("characteristic and point have different degrees")
     R = truncation_radius(point, tol) if radius is None else radius
-    r = np.array([float(x) for x in ch.r])
-    s = np.array([float(x) for x in ch.s])
-    x = ellipsoid_points(point.cholesky, r, R) + r  # rows n + r
-    quad = np.einsum("ij,jk,ik->i", x, point.Z, x) / 2.0
-    lin = x @ s
-    return complex(np.sum(np.exp(2j * np.pi * (quad + lin))))
+    r = [float(x) for x in ch.r]
+    s = [float(x) for x in ch.s]
+    if point.g <= SMALL_G:
+        return _theta_small(point, r, s, R)
+    return _theta_numpy(point, r, s, R)
 
 
 def theta_diag_factorization_residual(ch: ThetaChar, taus, tol: float = 1e-12) -> float:
@@ -189,6 +334,8 @@ def phi_siegel_identity_residual(r, s, tau: complex, trunc=8, tol: float = 1e-12
 
 def block_diag_symplectic(gammas) -> np.ndarray:
     """Assemble diag-block [[A, B], [C, D]] from SL2(Z) matrices; verify symplectic."""
+    import numpy as np
+
     gammas = list(gammas)
     g = len(gammas)
     for gm in gammas:
@@ -209,6 +356,8 @@ def block_diag_symplectic(gammas) -> np.ndarray:
 
 def symplectic_action(M: np.ndarray, Z) -> np.ndarray:
     """(AZ + B)(CZ + D)^(-1) for a 2g x 2g symplectic integer matrix."""
+    import numpy as np
+
     Z = np.asarray(Z, dtype=complex)
     g = Z.shape[0]
     A, B = M[:g, :g], M[:g, g:]

@@ -207,7 +207,7 @@ def _random_fraction(rng: random.Random, max_denominator: int) -> Fraction:
 
 @_timed
 def verify_theta_diag(samples=50, seed=0, tol=1e-10) -> VerifyReport:
-    from . import thetag  # numpy is loaded by the theta checks alone
+    from . import thetag  # loaded by the theta checks alone; its g = 3 samples load numpy
 
     rng = random.Random(seed)
     worst = 0.0
@@ -227,7 +227,7 @@ def verify_theta_diag(samples=50, seed=0, tol=1e-10) -> VerifyReport:
 
 @_timed
 def verify_phi_siegel(samples=20, seed=0, tol=1e-8) -> VerifyReport:
-    from . import thetag  # numpy is loaded by the theta checks alone
+    from . import thetag  # loaded by the theta checks alone; g = 1 needs no numpy
 
     rng = random.Random(seed)
     half = Fraction(1, 2)

@@ -183,6 +183,24 @@ class TestTheta:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "g, point",
+        [
+            ("1", "nan+1i"),
+            ("1", "0+nani"),
+            ("1", "0+infi"),
+            ("2", "1i,nan+1i"),
+            ("2", "1i,0.1+nani,0.1+0.2i,2i"),
+            ("3", "1i,1i,inf+1i"),
+        ],
+    )
+    def test_non_finite_point_exit_2(self, capsys, g, point):
+        char = ",".join(["0"] * int(g)) + ":" + ",".join(["0"] * int(g))
+        code, out, err = run(capsys, "theta", "--g", g, "--char", char, f"--point={point}")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
         "option, value, rest",
         [("--point", "-0.3+1i", ["--char", "0:0"]), ("--char", "-1/2:0", ["--point", "1i"])],
     )
@@ -246,7 +264,28 @@ def test_exact_commands_do_not_import_numpy():
     lines = out.splitlines()
     assert lines[0] == "False"
     assert lines[-2] == "False"
-    assert lines[-1] == "True modunits.thetag modunits.thetag"
+    # thetag itself imports no numpy: only degrees above SMALL_G need it.
+    assert lines[-1] == "False modunits.thetag modunits.thetag"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["theta", "--g", "1", "--char", "1/4:1/3", "--point", "0.2+1i"], False),
+        (["theta", "--g", "2", "--char", "1/4,0:1/2,1/3", "--point", "1i,0.2+0.1i,0.2+0.1i,1.5i"], False),
+        (["verify", "phi-siegel", "--samples", "3"], False),
+        (["theta", "--g", "3", "--char", "0,0,0:0,0,0", "--point", "i,i,i"], True),
+    ],
+    ids=["theta-g1", "theta-g2", "phi-siegel", "theta-g3"],
+)
+def test_numpy_is_imported_only_above_small_g(argv, loads_numpy):
+    out = _python(
+        "import sys\n"
+        "from modunits.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == f"0 {loads_numpy}"
 
 
 def test_unknown_package_attribute_raises():

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from modunits import thetag
 from modunits.classical import theta_classical
 from modunits.thetag import (
     NotPositiveDefiniteError,
@@ -56,6 +57,26 @@ def gamma_bound(point, R):
     return g / 2 * (2 / rho) ** g * float(mpmath.gammainc(g / 2, (R - rho / 2) ** 2))
 
 
+def parent_point(Z):
+    """(lambda_min, Z, cholesky) as SiegelPoint built them with numpy at every degree, before
+    degrees up to SMALL_G moved to closed forms: the reference for the stdlib point."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim == 0:
+        Z = Z.reshape(1, 1)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+        raise ValueError("Z must be a square matrix")
+    if np.max(np.abs(Z - Z.T)) > 1e-12:
+        raise ValueError("Z must be symmetric to 1e-12")
+    eigs = np.linalg.eigvalsh(Z.imag)
+    if eigs[0] <= 0:
+        raise NotPositiveDefiniteError(f"Im Z has smallest eigenvalue {eigs[0]}")
+    return float(eigs[0]), Z, np.linalg.cholesky(math.pi * Z.imag).T
+
+
+def float_char(ch):
+    return [float(x) for x in ch.r], [float(x) for x in ch.s]
+
+
 class TestSiegelPoint:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -75,6 +96,99 @@ class TestSiegelPoint:
         p = SiegelPoint.diagonal([1j, 2j, 0.5 + 1j])
         assert p.g == 3
         assert p.lambda_min == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "Z",
+        [
+            [[float("nan") + 1j]],
+            [[complex(0, float("nan"))]],
+            [[complex(0, float("inf"))]],
+            np.array(complex(float("-inf"), 1)),
+            [[1j, complex(float("nan"), 0)], [complex(float("nan"), 0), 1j]],
+            [[1j, 0], [0, complex(0.5, float("inf"))]],
+            [[1j, 0, 0], [0, 1j, 0], [0, 0, complex(float("nan"), 1)]],
+            np.diag([1j, 1j, complex(0, float("inf"))]),
+        ],
+    )
+    def test_rejects_non_finite(self, Z):
+        with pytest.raises(ValueError, match="finite"):
+            SiegelPoint(Z)
+
+    @pytest.mark.parametrize(
+        "Z",
+        [
+            [[1j, 0]],  # not square
+            [[1j, 0], [0]],  # ragged
+            [[1j], [0, 1j]],
+            [1j, 2j],  # 1-D
+            [],
+            [[]],
+            np.zeros((0, 0)),
+            [[[1j]]],  # 3-D
+            [[1j, 0.5], [0.2, 2j]],  # asymmetric
+            [[1j, 0, 0], [0, 1j, 1e-11], [0, 0, 1j]],
+            [[-1j]],  # not positive definite
+            0.5,
+            [[1j, 0], [0, -2j]],
+            [[1j, 2j], [2j, 1j]],
+            [[1j, 1j], [1j, 1j]],  # semidefinite
+            [[4j, 2j], [2j, 1j]],
+            np.diag([1j, 1j, 0j]),
+            [[1j, 2j, 0], [2j, 1j, 0], [0, 0, 1j]],
+        ],
+    )
+    def test_rejects_what_numpy_rejected(self, Z):
+        with pytest.raises(ValueError):
+            parent_point(Z)
+        with pytest.raises(ValueError):
+            SiegelPoint(Z)
+
+    @pytest.mark.parametrize(
+        "Z",
+        [
+            1j,
+            2,  # not in H_1, but a scalar: rejected as not positive definite below
+            0.3 + 0.7j,
+            np.complex128(0.1 + 2j),
+            np.array(0.5 + 1j),
+            [[0.25 + 1j]],
+            np.array([[1j]]),
+            [[1j, 0.25 + 0.1j], [0.25 + 0.1j, 1.5j]],
+            ((1j, 0.25 + 0.1j), (0.25 + 0.1j + 1e-13, 1.5j)),
+            np.array([[0.3 + 0.5j, 0.1 + 0.45j], [0.1 + 0.45j, 0.7j + 2]]),
+            [[1j, F(1, 4)], [F(1, 4), 1j]],
+            [[1j, 0, 0.1j], [0, 2j, 0], [0.1j, 0, 1j]],
+        ],
+    )
+    def test_accepts_like_numpy(self, Z):
+        try:
+            expected = parent_point(Z)
+        except NotPositiveDefiniteError:
+            with pytest.raises(NotPositiveDefiniteError):
+                SiegelPoint(Z)
+            return
+        point = SiegelPoint(Z)
+        lam, Zarr, U = expected
+        assert point.g == len(Zarr)
+        assert abs(point.lambda_min - lam) <= 1e-15
+        assert point.Z.shape == Zarr.shape and np.max(np.abs(point.Z - Zarr)) <= 1e-15
+        assert point.cholesky.shape == U.shape and np.max(np.abs(point.cholesky - U)) <= 1e-15
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_factor_matches_numpy_on_random_points(self, g):
+        rng = np.random.default_rng(600 + g)
+        for k in range(40):
+            point = random_point(rng, g, lambda_min=0.44 if k % 2 else None)
+            lam, Zarr, U = parent_point(point.Z)
+            assert abs(point.lambda_min - lam) <= 1e-15
+            assert np.max(np.abs(point.cholesky - U)) <= 1e-15
+
+    def test_far_apart_eigenvalues_keep_lambda_min(self):
+        # (a + c)/2 - |a - c|/2 would lose about 7 of the 16 digits of 1e-9 here; det / lambda_max keeps them.
+        for Z in ([[2j, 0], [0, 1e-9j]], [[1e-9j, 0.5], [0.5, 2j + 0.25]]):
+            point = SiegelPoint(Z)
+            assert point.lambda_min == pytest.approx(1e-9, rel=1e-15)
+            assert point.lambda_min == pytest.approx(parent_point(Z)[0], rel=1e-15)
 
 
 class TestThetaConstant:
@@ -116,14 +230,19 @@ class TestThetaConstant:
             with pytest.raises(ValueError):
                 theta_constant(ThetaChar((0,), (0,)), SiegelPoint([[1j]]), tol=tol)
 
-    def test_characteristics_share_the_point_factor(self, monkeypatch):
-        point = random_point(np.random.default_rng(4), 3)
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_characteristics_share_the_point_factor(self, monkeypatch, g):
+        point = random_point(np.random.default_rng(4), g)
 
         def no_factorization(*args, **kwargs):
             raise AssertionError("Cholesky factor recomputed")
 
+        # Degrees up to SMALL_G factor in closed form, the others through numpy.
+        monkeypatch.setattr(thetag, "_small_factor", no_factorization)
         monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
-        for ch in (ThetaChar((0, 0, 0), (0, 0, 0)), ThetaChar((F(1, 3), 0, F(1, 6)), (0, F(1, 2), 0))):
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_factorization)
+        chars = [ThetaChar((0,) * g, (0,) * g), ThetaChar((F(1, 3), F(1, 6), 0)[:g], (0, F(1, 2), F(1, 4))[:g])]
+        for ch in chars:
             theta_constant(ch, point)
 
 
@@ -179,6 +298,64 @@ class TestEllipsoid:
         r = np.array([float(x) for x in ch.r])
         points = ellipsoid_points(point.cholesky, r, truncation_radius(point, 1e-12))
         assert len(points) < 0.02 * 13**5
+
+
+class TestSmallDegreePath:
+    """The plain-float sum at g <= SMALL_G against numpy's, which stays callable at every degree."""
+
+    @staticmethod
+    def both_paths(ch, point, tol):
+        R = truncation_radius(point, tol)
+        r, s = float_char(ch)
+        rows = thetag._small_ellipsoid(point._U, r, R)
+        n_small = {(n0, *outer) for outer, n0s in rows for n0 in n0s}
+        n_numpy = {tuple(int(v) for v in row) for row in ellipsoid_points(point.cholesky, np.array(r), R)}
+        assert sum(len(n0s) for _, n0s in rows) == len(n_small) == len(n_numpy)
+        assert n_small == n_numpy
+        return thetag._theta_small(point, r, s, R), thetag._theta_numpy(point, r, s, R)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7, 1e-10, 1e-13])
+    def test_matches_numpy_sum(self, g, tol):
+        rng = np.random.default_rng(700 + g)
+        for k in range(12):
+            point = random_point(rng, g, lambda_min=0.44 if k % 3 == 0 else None)
+            ch = random_char(rng, g)
+            small, reference = self.both_paths(ch, point, tol)
+            assert abs(small - reference) <= 1e-13 * max(1.0, abs(reference))
+            assert theta_constant(ch, point, tol=tol) == small
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-13])
+    def test_zero_branch(self, tol):
+        for ch, point in (
+            (ThetaChar((F(1, 2),), (F(1, 2),)), SiegelPoint([[0.3 + 1j]])),
+            (ThetaChar((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), SiegelPoint.diagonal([1j, 0.2 + 2j])),
+            (ThetaChar((F(1, 2), 0), (F(1, 2), F(1, 3))), SiegelPoint.diagonal([0.1 + 1j, 1.5j])),
+        ):
+            small, reference = self.both_paths(ch, point, tol)
+            assert abs(small) < 1e-13 and abs(reference) < 1e-13
+
+    def test_degree_picks_the_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(thetag, "_theta_small", lambda *a: calls.append("small") or 0j)
+        monkeypatch.setattr(thetag, "_theta_numpy", lambda *a: calls.append("numpy") or 0j)
+        for g in (1, 2, 3, 4):
+            theta_constant(ThetaChar((0,) * g, (0,) * g), SiegelPoint.diagonal([1j] * g))
+        assert thetag.SMALL_G == 2
+        assert calls == ["small", "small", "numpy", "numpy"]
+
+    def test_g1_matches_mpmath_jtheta(self):
+        # theta[r;s](tau) = e(r^2 tau / 2 + r s) * theta3(pi (r tau + s), e^(pi i tau))
+        rng = random.Random(13)
+        for _ in range(25):
+            tau = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2.5))
+            r, s = F(rng.randrange(-6, 7), 6), F(rng.randrange(12), 12)
+            value = theta_constant(ThetaChar((r,), (s,)), SiegelPoint([[tau]]), tol=1e-14)
+            q = mpmath.exp(1j * mpmath.pi * tau)
+            z = mpmath.pi * (float(r) * tau + float(s))
+            phase = mpmath.exp(1j * mpmath.pi * (float(r) ** 2 * tau + 2 * float(r) * float(s)))
+            expected = complex(phase * mpmath.jtheta(3, z, q))
+            assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
 class TestDiagonalFactorization:
