@@ -37,6 +37,9 @@ if TYPE_CHECKING:
 
 # Degrees up to this are summed in plain floats, degrees above it with numpy (see the module docstring).
 SMALL_G = 2
+# The plain-float sum refuses an ellipsoid with more lattice points than this (about 4 s of
+# terms on a 2-vCPU VM): a nearly singular Im Z, such as 1e-320i, would otherwise loop for hours.
+MAX_SMALL_POINTS = 10**7
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -75,9 +78,10 @@ def _small_factor(rows) -> tuple:
             raise NotPositiveDefiniteError(f"Im Z has smallest eigenvalue {y}")
         return y, ((math.sqrt(math.pi * y),),)
     a, b, c = rows[0][0].imag, rows[1][0].imag, rows[1][1].imag
-    mean, spread = (a + c) / 2, math.hypot((a - c) / 2, b)
-    # det / lambda_max: mean - spread would cancel when the eigenvalues are far apart.
-    lam = (a * c - b * b) / (mean + spread) if mean + spread > 0 else mean - spread
+    mean, spread = a / 2 + c / 2, math.hypot(a / 2 - c / 2, b)
+    # det / lambda_max (lambda_max >= a > 0), with det = a (c - b^2 / a) so that large entries
+    # do not overflow; mean - spread would cancel when the eigenvalues are far apart.
+    lam = a / (mean + spread) * (c - b * (b / a)) if a > 0 else mean - spread
     if not lam > 0:
         raise NotPositiveDefiniteError(f"Im Z has smallest eigenvalue {lam}")
     u00 = math.sqrt(math.pi * a)
@@ -232,12 +236,20 @@ def _small_ellipsoid(U, c, R: float) -> list:
     ellipsoid is [((), range)]."""
     rest = float(R) ** 2
     if len(c) == 1:
-        return [((), _interval(-c[0], rest, U[0][0]))]
-    (u00, u01), (_, u11) = U
-    return [
-        ((n1,), _interval(-((n1 + c[1]) * u01) / u00 - c[0], rest - (u11 * (n1 + c[1])) ** 2, u00))
-        for n1 in _interval(-c[1], rest, u11)
-    ]
+        rows = [((), _interval(-c[0], rest, U[0][0]))]
+    else:
+        (u00, u01), (_, u11) = U
+        n1s = _interval(-c[1], rest, u11)
+        if n1s.stop - n1s.start > MAX_SMALL_POINTS:
+            raise ValueError(f"the theta sum needs more than {MAX_SMALL_POINTS} lattice points")
+        rows = [
+            ((n1,), _interval(-((n1 + c[1]) * u01) / u00 - c[0], rest - (u11 * (n1 + c[1])) ** 2, u00))
+            for n1 in n1s
+        ]
+    # range lengths as differences: len() of a range past sys.maxsize raises OverflowError
+    if sum(max(n0s.stop - n0s.start, 0) for _, n0s in rows) > MAX_SMALL_POINTS:
+        raise ValueError(f"the theta sum needs more than {MAX_SMALL_POINTS} lattice points")
+    return rows
 
 
 def _theta_small(point: SiegelPoint, r: list, s: list, R: float) -> complex:

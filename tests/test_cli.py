@@ -200,6 +200,12 @@ class TestTheta:
         assert out == ""
         assert "finite" in err
 
+    def test_nearly_singular_point_exit_2(self, capsys):
+        code, out, err = run(capsys, "theta", "--g", "1", "--char", "0:0", "--point", "1e-320i")
+        assert code == 2
+        assert out == ""
+        assert "lattice points" in err
+
     @pytest.mark.parametrize(
         "option, value, rest",
         [("--point", "-0.3+1i", ["--char", "0:0"]), ("--char", "-1/2:0", ["--point", "1i"])],

@@ -154,7 +154,7 @@ class TestSiegelPoint:
             [[0.25 + 1j]],
             np.array([[1j]]),
             [[1j, 0.25 + 0.1j], [0.25 + 0.1j, 1.5j]],
-            ((1j, 0.25 + 0.1j), (0.25 + 0.1j + 1e-13, 1.5j)),
+            ((1j, 0.25 + 0.1j), (0.25 + 0.1j + 5e-13j, 1.5j)),  # LAPACK reads the lower triangle
             np.array([[0.3 + 0.5j, 0.1 + 0.45j], [0.1 + 0.45j, 0.7j + 2]]),
             [[1j, F(1, 4)], [F(1, 4), 1j]],
             [[1j, 0, 0.1j], [0, 2j, 0], [0.1j, 0, 1j]],
@@ -230,9 +230,9 @@ class TestThetaConstant:
             with pytest.raises(ValueError):
                 theta_constant(ThetaChar((0,), (0,)), SiegelPoint([[1j]]), tol=tol)
 
-    @pytest.mark.parametrize("g", [2, 3])
-    def test_characteristics_share_the_point_factor(self, monkeypatch, g):
-        point = random_point(np.random.default_rng(4), g)
+    def test_characteristics_share_the_point_factor(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        points = {g: random_point(rng, g) for g in (2, 3)}
 
         def no_factorization(*args, **kwargs):
             raise AssertionError("Cholesky factor recomputed")
@@ -241,9 +241,9 @@ class TestThetaConstant:
         monkeypatch.setattr(thetag, "_small_factor", no_factorization)
         monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_factorization)
-        chars = [ThetaChar((0,) * g, (0,) * g), ThetaChar((F(1, 3), F(1, 6), 0)[:g], (0, F(1, 2), F(1, 4))[:g])]
-        for ch in chars:
-            theta_constant(ch, point)
+        for g, point in points.items():
+            for ch in (ThetaChar((0,) * g, (0,) * g), ThetaChar((F(1, 3), F(1, 6), 0)[:g], (0, F(1, 2), F(1, 4))[:g])):
+                theta_constant(ch, point)
 
 
 class TestEllipsoid:
@@ -343,6 +343,19 @@ class TestSmallDegreePath:
             theta_constant(ThetaChar((0,) * g, (0,) * g), SiegelPoint.diagonal([1j] * g))
         assert thetag.SMALL_G == 2
         assert calls == ["small", "small", "numpy", "numpy"]
+
+    @pytest.mark.parametrize("Z", [[[1e-320j]], [[1e-13j]], [[1j, 0], [0, 1e-300j]], [[1e-300j, 0], [0, 1j]]])
+    def test_refuses_a_nearly_singular_point(self, Z):
+        # numpy's int64 cast failed fast on these; the plain-float loop would run for hours
+        with pytest.raises(ValueError, match="lattice points"):
+            theta_constant(ThetaChar((0,) * len(Z), (0,) * len(Z)), SiegelPoint(Z))
+
+    def test_large_entries_do_not_overflow(self):
+        # det = a c - b^2 would overflow; lambda_min and the sum stay finite as with numpy
+        Z = [[1e200j, 1e199j], [1e199j, 2e200j]]
+        point = SiegelPoint(Z)
+        assert point.lambda_min == pytest.approx(parent_point(Z)[0], rel=1e-14)
+        assert theta_constant(ThetaChar((0, 0), (0, 0)), point) == 1
 
     def test_g1_matches_mpmath_jtheta(self):
         # theta[r;s](tau) = e(r^2 tau / 2 + r s) * theta3(pi (r tau + s), e^(pi i tau))
