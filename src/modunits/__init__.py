@@ -28,8 +28,8 @@ from .cusps import (
 )
 
 # The numeric theta names load thetag on first use (PEP 562), so that importing
-# modunits for exact work does not compile thetag (about 4 ms in a cold process
-# without a bytecode cache).  thetag imports numpy only for degrees above SMALL_G.
+# modunits for exact work does not load it: about 1.5 ms per cold process, 4-7 ms
+# without a bytecode cache.  thetag imports numpy only for degrees above SMALL_G.
 _THETAG_NAMES = (
     "SiegelPoint",
     "ThetaChar",

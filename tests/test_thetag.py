@@ -73,10 +73,6 @@ def parent_point(Z):
     return float(eigs[0]), Z, np.linalg.cholesky(math.pi * Z.imag).T
 
 
-def float_char(ch):
-    return [float(x) for x in ch.r], [float(x) for x in ch.s]
-
-
 class TestSiegelPoint:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -306,7 +302,7 @@ class TestSmallDegreePath:
     @staticmethod
     def both_paths(ch, point, tol):
         R = truncation_radius(point, tol)
-        r, s = float_char(ch)
+        r, s = [float(x) for x in ch.r], [float(x) for x in ch.s]
         rows = thetag._small_ellipsoid(point._U, r, R)
         n_small = {(n0, *outer) for outer, n0s in rows for n0 in n0s}
         n_numpy = {tuple(int(v) for v in row) for row in ellipsoid_points(point.cholesky, np.array(r), R)}
