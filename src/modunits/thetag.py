@@ -37,8 +37,8 @@ if TYPE_CHECKING:
 
 # Degrees up to this are summed in plain floats, degrees above it with numpy (see the module docstring).
 SMALL_G = 2
-# The plain-float sum refuses an ellipsoid with more lattice points than this (about 4 s of
-# terms on a 2-vCPU VM): a nearly singular Im Z, such as 1e-320i, would otherwise loop for hours.
+# The plain-float sum refuses an ellipsoid with more lattice points than this, about 4 s of
+# terms on a 2-vCPU VM (see _small_ellipsoid).
 MAX_SMALL_POINTS = 10**7
 
 
@@ -230,34 +230,40 @@ def _interval(center: float, rest: float, u: float) -> range:
     return range(math.ceil(center - half), math.floor(center + half) + 1)
 
 
-def _small_ellipsoid(U, c, R: float) -> list:
+def _small_ellipsoid(U, c, R: float):
     """ellipsoid_points for g <= 2 in plain floats, with U as rows: the same levels
-    and interval bounds.  One (n_1.., range of n_0) pair per prefix, so a g = 1
-    ellipsoid is [((), range)]."""
+    and interval bounds.  Yields one (n_1.., range of n_0) pair per prefix, so a
+    g = 1 ellipsoid is ((), range).
+
+    Rows are made one at a time, and the ellipsoid is refused once its points,
+    with every empty row counted as one, pass MAX_SMALL_POINTS: a nearly singular
+    Im Z, such as 1e-320i, would otherwise loop for hours.
+    """
     rest = float(R) ** 2
     if len(c) == 1:
         rows = [((), _interval(-c[0], rest, U[0][0]))]
     else:
         (u00, u01), (_, u11) = U
-        n1s = _interval(-c[1], rest, u11)
-        if n1s.stop - n1s.start > MAX_SMALL_POINTS:
-            raise ValueError(f"the theta sum needs more than {MAX_SMALL_POINTS} lattice points")
-        rows = [
+        rows = (
             ((n1,), _interval(-((n1 + c[1]) * u01) / u00 - c[0], rest - (u11 * (n1 + c[1])) ** 2, u00))
-            for n1 in n1s
-        ]
-    # range lengths as differences: len() of a range past sys.maxsize raises OverflowError
-    if sum(max(n0s.stop - n0s.start, 0) for _, n0s in rows) > MAX_SMALL_POINTS:
-        raise ValueError(f"the theta sum needs more than {MAX_SMALL_POINTS} lattice points")
-    return rows
+            for n1 in _interval(-c[1], rest, u11)
+        )
+    visited = 0
+    for outer, n0s in rows:
+        # range lengths as differences: len() of a range past sys.maxsize raises OverflowError
+        visited += max(n0s.stop - n0s.start, 1)
+        if visited > MAX_SMALL_POINTS:
+            raise ValueError(f"the theta sum needs more than {MAX_SMALL_POINTS} lattice points")
+        yield outer, n0s
 
 
 def _theta_small(point: SiegelPoint, r: list, s: list, R: float) -> complex:
     """The theta sum over _small_ellipsoid, in plain floats (g <= 2).
 
     With x = n + r, the exponent 2 pi i (x^T Z x / 2 + x . s) is
-    x_0 (pi i Z_00 x_0 + b) + e, where b and e depend on x_1 alone: one
-    cmath.exp per term, and one per row.
+    x_0 (pi i Z_00 x_0 + b) + e, where b and e depend on x_1 alone.  Each term
+    takes one cmath.exp of the whole exponent, whose real part -||U x||^2 is
+    at most 0; for a correlated Im Z the two parts alone can pass 700 and overflow.
     """
     rows = point._rows
     pi_i = 1j * math.pi
@@ -269,11 +275,9 @@ def _theta_small(point: SiegelPoint, r: list, s: list, R: float) -> complex:
             x1 = outer[0] + r[1]
             b += pi_i * (rows[0][1] + rows[1][0]) * x1
             e = x1 * (pi_i * rows[1][1] * x1 + 2 * pi_i * s[1])
-        row = 0j
         for n0 in n0s:
             x0 = n0 + r0
-            row += cmath.exp(x0 * (a0 * x0 + b))
-        total += row * cmath.exp(e)
+            total += cmath.exp(x0 * (a0 * x0 + b) + e)
     return total
 
 

@@ -206,6 +206,14 @@ class TestTheta:
         assert out == ""
         assert "lattice points" in err
 
+    def test_correlated_point(self, capsys):
+        code, out, _ = run(capsys, "theta", "--g", "2", "--char", "0,0:0,0", "--point", "1i,0.98i,0.98i,1i")
+        assert code == 0
+        data = json.loads(out)
+        point = thetag.SiegelPoint([[1j, 0.98j], [0.98j, 1j]])
+        expected = thetag._theta_numpy(point, [0.0, 0.0], [0.0, 0.0], data["radius"])
+        assert abs(complex(data["value_re"], data["value_im"]) - expected) <= 1e-13 * abs(expected)
+
     @pytest.mark.parametrize(
         "option, value, rest",
         [("--point", "-0.3+1i", ["--char", "0:0"]), ("--char", "-1/2:0", ["--point", "1i"])],

@@ -303,7 +303,7 @@ class TestSmallDegreePath:
     def both_paths(ch, point, tol):
         R = truncation_radius(point, tol)
         r, s = [float(x) for x in ch.r], [float(x) for x in ch.s]
-        rows = thetag._small_ellipsoid(point._U, r, R)
+        rows = list(thetag._small_ellipsoid(point._U, r, R))
         n_small = {(n0, *outer) for outer, n0s in rows for n0 in n0s}
         n_numpy = {tuple(int(v) for v in row) for row in ellipsoid_points(point.cholesky, np.array(r), R)}
         assert sum(len(n0s) for _, n0s in rows) == len(n_small) == len(n_numpy)
@@ -330,6 +330,36 @@ class TestSmallDegreePath:
         ):
             small, reference = self.both_paths(ch, point, tol)
             assert abs(small) < 1e-13 and abs(reference) < 1e-13
+
+    @pytest.mark.parametrize("rho", [0.98, 0.99])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-13])
+    def test_correlated_point(self, rho, tol):
+        # A term's exponent splits into an n_0 part and an n_1 part whose real parts reach about
+        # +-R^2 rho^2 / (1 - rho^2), past exp's overflow at 710; their sum, -||U(n + r)||^2, is at most 0.
+        chars = (
+            ThetaChar((0, 0), (0, 0)),
+            ThetaChar((F(1, 3), F(-1, 2)), (F(1, 4), F(1, 6))),
+            ThetaChar((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
+        )
+        for x in (0.0, 0.3, 1.7):
+            point = SiegelPoint([[complex(x, 1), complex(-x / 2, rho)], [complex(-x / 2, rho), complex(0.1, 1)]])
+            for ch in chars:
+                small, reference = self.both_paths(ch, point, tol)
+                assert abs(small - reference) <= 1e-13 * max(1.0, abs(reference))
+
+    def test_refusal_counts_points_and_empty_rows(self, monkeypatch):
+        ch = ThetaChar((F(1, 2), 0), (0, 0))
+        # diag(1i, 1e-4i): about 680 values of n_1, each with up to 7 of n_0;
+        # diag(1e6i, 1e-6i): about 6800 values of n_1, each with an empty range of n_0 about -1/2
+        points = [SiegelPoint.diagonal([1j, 1e-4j]), SiegelPoint.diagonal([1e6j, 1e-6j])]
+        values = [theta_constant(ch, point) for point in points]
+        assert values[1] == 0
+        monkeypatch.setattr(thetag, "MAX_SMALL_POINTS", 1000)
+        for point in points:
+            rows = thetag._small_ellipsoid(point._U, [0.5, 0.0], truncation_radius(point, 1e-12))
+            assert next(rows)  # rows are made as the sum reads them
+            with pytest.raises(ValueError, match="lattice points"):
+                theta_constant(ch, point)
 
     def test_degree_picks_the_path(self, monkeypatch):
         calls = []
