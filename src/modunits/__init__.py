@@ -1,51 +1,33 @@
 """Exact q-expansion engine for modular units and numeric Siegel theta constants."""
 
-from .cycloq import Cyclotomic, e_of
-from .qseries import PuiseuxSeries, product_family
-from .classical import discriminant, eisenstein, eta, j_function, theta_classical
-from .units import (
-    FracVector,
-    GammaMatrix,
-    bernoulli2,
-    g14,
-    h1N,
-    hN,
-    klein_form_0_half,
-    siegel_function,
-    siegel_power_ord,
-    transform_vector,
-    weierstrass_unit,
-    wp_expansion,
-    wp_lattice_sum,
-)
-from .cusps import (
-    Cusp,
-    DivisorVector,
-    cusp_count,
-    divisor_of_siegel_power,
-    enumerate_cusps,
-    unit_group_rank,
-)
-
-# The numeric theta names load thetag on first use (PEP 562), so that importing
-# modunits for exact work does not load it: about 1.5 ms per cold process, 4-7 ms
-# without a bytecode cache.  thetag imports numpy only for degrees above SMALL_G.
-_THETAG_NAMES = (
-    "SiegelPoint",
-    "ThetaChar",
-    "block_diag_symplectic",
-    "phi_siegel_identity_residual",
-    "theta_constant",
-    "theta_diag_factorization_residual",
-)
+# Each public name's home module, imported on the name's first use (PEP 562): `import modunits`
+# loads no submodule, so a process pays only for the layers it touches.  Without a bytecode
+# cache, compiling every layer costs a cold process about 24 ms.  thetag imports numpy only
+# for degrees above SMALL_G.
+_MODULE_OF = {
+    "Cyclotomic": "cycloq", "e_of": "cycloq",
+    "PuiseuxSeries": "qseries", "product_family": "qseries",
+    "eta": "classical", "theta_classical": "classical", "eisenstein": "classical",
+    "discriminant": "classical", "j_function": "classical",
+    "FracVector": "units", "GammaMatrix": "units", "bernoulli2": "units", "siegel_function": "units",
+    "siegel_power_ord": "units", "transform_vector": "units", "klein_form_0_half": "units",
+    "wp_expansion": "units", "wp_lattice_sum": "units", "weierstrass_unit": "units",
+    "g14": "units", "h1N": "units", "hN": "units",
+    "Cusp": "cusps", "DivisorVector": "cusps", "cusp_count": "cusps", "enumerate_cusps": "cusps",
+    "divisor_of_siegel_power": "cusps", "unit_group_rank": "cusps",
+    "SiegelPoint": "thetag", "ThetaChar": "thetag", "theta_constant": "thetag",
+    "theta_diag_factorization_residual": "thetag", "phi_siegel_identity_residual": "thetag",
+    "block_diag_symplectic": "thetag",
+}
 
 
 def __getattr__(name):
-    if name in _THETAG_NAMES:
-        from . import thetag
+    if name in _MODULE_OF:
+        from importlib import import_module
 
-        return getattr(thetag, name)
+        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Cyclotomic",

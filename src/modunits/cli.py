@@ -11,10 +11,16 @@ import math
 import sys
 from fractions import Fraction
 
-from . import classical, cusps, units, verify
-from .qseries import PuiseuxSeries
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers read it as True
+if TYPE_CHECKING:
+    from .qseries import PuiseuxSeries
 
-# thetag is imported only by the theta commands, and numpy only by those above thetag.SMALL_G.
+# Each command imports the engine layers it uses, inside its cmd_ function, so a short process
+# compiles and loads no other module: expand of eta, theta2-4, g2, g3, delta or j loads
+# classical, qseries and cycloq alone, and no command but verify loads verify.  theta and
+# verify still load the whole exact engine, because bench/tracer.py patches the names that
+# thetag and verify import from units and qseries at module level.  numpy is imported only
+# by theta commands above thetag.SMALL_G.
 
 # The lattice sum grows like R^g, so genera above this are refused before any work.
 MAX_THETA_GENUS = 8
@@ -111,6 +117,8 @@ def format_series(series: PuiseuxSeries, fmt: str) -> str:
 
 
 def cmd_expand(args) -> int:
+    from . import classical
+
     trunc = args.trunc
     name = args.name
     params = args.params
@@ -123,9 +131,11 @@ def cmd_expand(args) -> int:
         "g3": lambda: classical.eisenstein("g3", trunc),
         "delta": lambda: classical.discriminant(trunc),
         "j": lambda: classical.j_function(trunc),
-        "klein": lambda: units.klein_form_0_half(trunc),
-        "g14": lambda: units.g14(trunc),
     }
+    if name not in builders:  # the units layer, which the names above do not load
+        from . import units
+
+        builders.update(klein=lambda: units.klein_form_0_half(trunc), g14=lambda: units.g14(trunc))
     if name in builders:
         if params:
             raise UsageError(f"{name!r} takes no positional parameters")
@@ -153,6 +163,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     if args.identity not in verify.IDENTITY_RUNNERS:
         raise UsageError(f"unknown identity {args.identity!r}")
     check, takes = verify.IDENTITY_RUNNERS[args.identity]
@@ -173,6 +185,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cusps(args) -> int:
+    from . import cusps
+
     classes = cusps.enumerate_cusps(args.N)
     if args.format == "json":
         print(
@@ -192,6 +206,8 @@ def cmd_cusps(args) -> int:
 
 
 def cmd_divisor(args) -> int:
+    from . import cusps, units
+
     v = units.FracVector(parse_rational(args.r), parse_rational(args.s))
     div = cusps.divisor_of_siegel_power(v, args.N)
     payload = {
@@ -213,6 +229,8 @@ def cmd_divisor(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from . import cusps
+
     rank = cusps.unit_group_rank(args.N)
     expected = cusps.cusp_count(args.N) - 1
     if args.format == "json":

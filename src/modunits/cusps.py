@@ -12,26 +12,43 @@ cusp, and the rank runs on the integer rows N*T_N by fraction-free elimination.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd, lcm
 
 from .cycloq import _prime_factors
-from .units import FracVector, GammaMatrix
+from .units import FracVector, Frozen, GammaMatrix
 
 
-@dataclass(frozen=True, order=True)
-class Cusp:
-    """The class of a/c on X(N); c = 0 encodes i-infinity."""
+@total_ordering
+class Cusp(Frozen):
+    """The class of a/c on X(N); c = 0 encodes i-infinity.  Cusps compare, hash and
+    sort by (a, c) alone: the level is not part of the key."""
 
-    a: int
-    c: int
-    level: int = field(compare=False)
+    __slots__ = ("a", "c", "level")
 
-    def __post_init__(self):
-        if gcd(gcd(self.a, self.c), self.level) != 1:
-            raise ValueError(f"({self.a} : {self.c}) is not primitive mod {self.level}")
+    def __init__(self, a: int, c: int, level: int):
+        if gcd(gcd(a, c), level) != 1:
+            raise ValueError(f"({a} : {c}) is not primitive mod {level}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "level", level)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(a={self.a!r}, c={self.c!r}, level={self.level!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.c) == (other.a, other.c)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.c))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.c) < (other.a, other.c)
+        return NotImplemented
 
     def __str__(self):
         if self.c % self.level == 0:
@@ -39,12 +56,22 @@ class Cusp:
         return f"({self.a}:{self.c})"
 
 
-@dataclass
 class DivisorVector:
-    """A rational divisor supported on the cusps of X(N)."""
+    """A rational divisor supported on the cusps of X(N).  Mutable, so unhashable."""
 
-    level: int
-    entries: dict[Cusp, Fraction]
+    __slots__ = ("level", "entries")
+
+    def __init__(self, level: int, entries: dict[Cusp, Fraction]):
+        self.level = level
+        self.entries = entries
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(level={self.level!r}, entries={self.entries!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.level, self.entries) == (other.level, other.entries)
+        return NotImplemented
 
     def degree(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))

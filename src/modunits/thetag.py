@@ -25,13 +25,12 @@ import cmath
 import itertools  # noqa: F401
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .cycloq import e_of
-from .units import FracVector, GammaMatrix, siegel_function
+from .units import FracVector, Frozen, GammaMatrix, siegel_function
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers read it as True
 if TYPE_CHECKING:
     import numpy as np
 
@@ -40,6 +39,10 @@ SMALL_G = 2
 # The plain-float sum refuses an ellipsoid with more lattice points than this, about 4 s of
 # terms on a 2-vCPU VM (see _small_ellipsoid).
 MAX_SMALL_POINTS = 10**7
+# Above SMALL_G, ellipsoid_points refuses a level with more lattice points than this.  The sum's
+# peak memory grows by 106 B a point at g = 3 and 219 B at g = 8 (getrusage on a 2-vCPU VM,
+# 5.2 and 3.3 million points), so about 0.85 GiB and 2-5 s at the cap.
+MAX_NUMPY_POINTS = 4 * 10**6
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -145,18 +148,28 @@ class SiegelPoint:
         return cls([[t if i == j else 0j for j in range(len(taus))] for i, t in enumerate(taus)])
 
 
-@dataclass(frozen=True)
-class ThetaChar:
+class ThetaChar(Frozen):
     """A rational characteristic (r, s) with r, s in Q^g."""
 
-    r: tuple
-    s: tuple
+    __slots__ = ("r", "s")
 
     def __init__(self, r, s):
-        object.__setattr__(self, "r", tuple(Fraction(x) for x in r))
-        object.__setattr__(self, "s", tuple(Fraction(x) for x in s))
-        if len(self.r) != len(self.s):
+        r, s = tuple(Fraction(x) for x in r), tuple(Fraction(x) for x in s)
+        if len(r) != len(s):
             raise ValueError("r and s must have the same length")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(r={self.r!r}, s={self.s!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.r, self.s) == (other.r, other.s)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.r, self.s))
 
     @property
     def g(self) -> int:
@@ -166,31 +179,37 @@ class ThetaChar:
         return ThetaChar((self.r[k],), (self.s[k],))
 
 
-def _tail_bound(g: int, rho: float, R: float) -> float:
-    """(g/2) (2/rho)^g Gamma(g/2, (R - rho/2)^2): a bound on the sum of |terms| with
-    ||U(n + r)|| >= R when rho <= the shortest nonzero ||U n|| and R >= (sqrt(g) + rho)/2."""
+def _tail_bound(g: int, rho: float, scale: float, R: float) -> float:
+    """scale * Gamma(g/2, (R - rho/2)^2), with scale = (g/2) (2/rho)^g: a bound on the sum of
+    |terms| with ||U(n + r)|| >= R when rho <= the shortest nonzero ||U n|| and R >= (sqrt(g) + rho)/2."""
     x = (R - rho / 2) ** 2
     # Gamma(1/2, x) and Gamma(1, x) in closed form, then Gamma(s + 1, x) = s Gamma(s, x) + x^s e^-x.
     s, gamma = (0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))) if g % 2 else (1.0, math.exp(-x))
     while s < g / 2:
         gamma = s * gamma + x**s * math.exp(-x)
         s += 1
-    return g / 2 * (2 / rho) ** g * gamma
+    return scale * gamma
 
 
 def truncation_radius(point: SiegelPoint, tol: float) -> float:
     """Smallest ellipsoid radius R whose proven tail bound is at most tol, for every characteristic."""
     g = point.g
     rho = math.sqrt(math.pi * point.lambda_min)  # ||U n||^2 = pi n^T Im Z n >= pi lambda_min for n != 0
+    try:
+        scale = g / 2 * (2 / rho) ** g
+    except OverflowError:
+        raise ValueError(
+            f"lambda_min(Im Z) = {point.lambda_min:.3g} is too small to bound the theta sum: (2/rho)^{g} overflows"
+        ) from None
     lo = (math.sqrt(g) + rho) / 2
-    if _tail_bound(g, rho, lo) <= tol:
+    if _tail_bound(g, rho, scale, lo) <= tol:
         return lo
     hi = 2 * lo
-    while _tail_bound(g, rho, hi) > tol:
+    while _tail_bound(g, rho, scale, hi) > tol:
         lo, hi = hi, 2 * hi
     while hi - lo > 1e-6 * hi:
         mid = (lo + hi) / 2
-        if _tail_bound(g, rho, mid) > tol:
+        if _tail_bound(g, rho, scale, mid) > tol:
             lo = mid
         else:
             hi = mid
@@ -215,7 +234,11 @@ def ellipsoid_points(U: np.ndarray, c: np.ndarray, R: float) -> np.ndarray:
         center = -partial[:, i] / u - c[i]
         half = np.sqrt(np.maximum(rest, 0.0)) / u
         lo = np.ceil(center - half)
-        count = np.maximum(np.floor(center + half) - lo + 1, 0).astype(np.int64)
+        count = np.maximum(np.floor(center + half) - lo + 1, 0)
+        # Summed as floats, before the int64 cast, which wraps past 2^63.
+        if count.sum() > MAX_NUMPY_POINTS:
+            raise _too_many_points(MAX_NUMPY_POINTS)
+        count = count.astype(np.int64)
         parent = np.repeat(np.arange(len(rest)), count)
         n_i = lo[parent] + (np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count))
         rest = rest[parent] - (u * (n_i - center[parent])) ** 2
@@ -237,24 +260,35 @@ def _small_ellipsoid(U, c, R: float):
 
     Rows are made one at a time, and the ellipsoid is refused once its points,
     with every empty row counted as one, pass MAX_SMALL_POINTS: a nearly singular
-    Im Z, such as 1e-320i, would otherwise loop for hours.
+    Im Z, such as 1e-320i, would otherwise loop for hours.  The rows not made yet
+    count one point each, so a range of n_1 longer than the cap is refused before
+    its second row.
     """
     rest = float(R) ** 2
     if len(c) == 1:
-        rows = [((), _interval(-c[0], rest, U[0][0]))]
+        rows, left = [((), _interval(-c[0], rest, U[0][0]))], 1
     else:
         (u00, u01), (_, u11) = U
+        n1s = _interval(-c[1], rest, u11)
         rows = (
             ((n1,), _interval(-((n1 + c[1]) * u01) / u00 - c[0], rest - (u11 * (n1 + c[1])) ** 2, u00))
-            for n1 in _interval(-c[1], rest, u11)
+            for n1 in n1s
         )
+        # range lengths as differences: len() of a range past sys.maxsize raises OverflowError
+        left = n1s.stop - n1s.start
     visited = 0
     for outer, n0s in rows:
-        # range lengths as differences: len() of a range past sys.maxsize raises OverflowError
         visited += max(n0s.stop - n0s.start, 1)
+        left -= 1
         if visited > MAX_SMALL_POINTS:
-            raise ValueError(f"the theta sum needs more than {MAX_SMALL_POINTS} lattice points")
+            raise _too_many_points(MAX_SMALL_POINTS)
         yield outer, n0s
+        if visited + left > MAX_SMALL_POINTS:
+            raise _too_many_points(MAX_SMALL_POINTS)
+
+
+def _too_many_points(cap: int) -> ValueError:
+    return ValueError(f"the theta sum needs more than {cap} lattice points")
 
 
 def _theta_small(point: SiegelPoint, r: list, s: list, R: float) -> complex:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycloq import Cyclotomic, e_of
@@ -20,16 +19,42 @@ from .classical import pentagonal_terms, theta_classical
 from .classical import eta  # noqa: F401
 
 
-@dataclass(frozen=True)
-class FracVector:
+class Frozen:
+    """A base for immutable value types, in place of a frozen dataclass: __init__ sets the
+    __slots__ with object.__setattr__, and later assignment or deletion raises AttributeError.
+    Copies and pickles rebuild an instance through its constructor, from the slots in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+
+
+class FracVector(Frozen):
     """A rational row vector (r, s) indexing a Siegel function or p-value."""
 
-    r: Fraction
-    s: Fraction
+    __slots__ = ("r", "s")
 
     def __init__(self, r, s):
         object.__setattr__(self, "r", Fraction(r))
         object.__setattr__(self, "s", Fraction(s))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(r={self.r!r}, s={self.s!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.r, self.s) == (other.r, other.s)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.r, self.s))
 
     def is_integral(self) -> bool:
         return self.r.denominator == 1 and self.s.denominator == 1
@@ -41,18 +66,27 @@ class FracVector:
         return FracVector(-self.r, -self.s)
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
+class GammaMatrix(Frozen):
     """An SL2(Z) matrix [[a, b], [c, d]]."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise ValueError("matrix must have determinant 1")
+        for name, x in zip(self.__slots__, (a, b, c, d)):
+            object.__setattr__(self, name, x)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
 
     def __matmul__(self, other: "GammaMatrix") -> "GammaMatrix":
         return GammaMatrix(

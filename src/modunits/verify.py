@@ -9,20 +9,37 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classical, cusps, units
 from .qseries import PuiseuxSeries, product_family
 
 
-@dataclass
 class VerifyReport:
-    identity: str
-    parameter: str
-    passed: bool
-    witness: str | None = None
-    wall_ms: float = 0.0
+    """One check's outcome.  Mutable (the timer sets wall_ms), so unhashable."""
+
+    __slots__ = ("identity", "parameter", "passed", "witness", "wall_ms")
+
+    def __init__(self, identity: str, parameter: str, passed: bool, witness: str | None = None, wall_ms: float = 0.0):
+        self.identity = identity
+        self.parameter = parameter
+        self.passed = passed
+        self.witness = witness
+        self.wall_ms = wall_ms
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(identity={self.identity!r}, parameter={self.parameter!r}, "
+            f"passed={self.passed!r}, witness={self.witness!r}, wall_ms={self.wall_ms!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def _key(self) -> tuple:
+        return (self.identity, self.parameter, self.passed, self.witness, self.wall_ms)
 
     def to_json_dict(self) -> dict:
         return {

@@ -206,6 +206,17 @@ class TestTheta:
         assert out == ""
         assert "lattice points" in err
 
+    @pytest.mark.parametrize(
+        "g, point",
+        [("2", "1i,0,0,1e-310i"), ("3", "1i,0,0,0,1i,0,0,0,1e-300i")],
+    )
+    def test_point_too_singular_for_the_tail_bound_exit_2(self, capsys, g, point):
+        char = ",".join(["0"] * int(g)) + ":" + ",".join(["0"] * int(g))
+        code, out, err = run(capsys, "theta", "--g", g, "--char", char, "--point", point)
+        assert code == 2
+        assert out == ""
+        assert "lambda_min" in err
+
     def test_correlated_point(self, capsys):
         code, out, _ = run(capsys, "theta", "--g", "2", "--char", "0,0:0,0", "--point", "1i,0.98i,0.98i,1i")
         assert code == 0
@@ -300,6 +311,49 @@ def test_numpy_is_imported_only_above_small_g(argv, loads_numpy):
         "print(code, 'numpy' in sys.modules)\n"
     )
     assert out.splitlines()[-1] == f"0 {loads_numpy}"
+
+
+SUBMODULES = ("cycloq", "qseries", "classical", "units", "cusps", "thetag", "verify", "cli")
+
+
+def test_importing_the_package_loads_no_submodule():
+    out = _python("import sys, modunits\nprint(sorted(m for m in sys.modules if m.startswith('modunits.')))\n")
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_expand_theta_loads_only_its_layers():
+    out = _python(
+        "import sys\n"
+        "from modunits.cli import main\n"
+        "main(['expand', 'theta3', '--trunc', '3'])\n"
+        "print(sorted(m for m in ('modunits.units', 'modunits.cusps', 'modunits.verify', 'modunits.thetag',"
+        " 'numpy', 'modunits.classical') if m in sys.modules))\n"
+    )
+    assert out.splitlines()[-1] == "['modunits.classical']"
+
+
+def test_no_submodule_imports_dataclasses_or_inspect():
+    out = _python(
+        "import sys\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    __import__('modunits.' + name)\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == "False False"
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    out = _python(
+        "import sys, modunits\n"
+        "for name in modunits.__all__:\n"
+        "    obj = getattr(modunits, name)\n"
+        "    home = sys.modules[obj.__module__]\n"
+        "    assert home.__name__.startswith('modunits.') and getattr(home, name) is obj, name\n"
+        "print(len(modunits.__all__), len(set(modunits.__all__)))\n"
+        "from modunits import *\n"
+        "print(Cusp.__module__, theta_constant.__module__, product_family.__module__, e_of.__module__)\n"
+    )
+    assert out.splitlines() == ["34 34", "modunits.cusps modunits.thetag modunits.qseries modunits.cycloq"]
 
 
 def test_unknown_package_attribute_raises():

@@ -296,6 +296,40 @@ class TestEllipsoid:
         assert len(points) < 0.02 * 13**5
 
 
+    def test_refuses_a_level_past_the_cap_before_allocating_it(self):
+        # The first level, n_2, already spans about 6e10 values: refused before np.repeat sees it.
+        point = SiegelPoint.diagonal([1j, 1j, 1e-20j])
+        with pytest.raises(ValueError, match="lattice points"):
+            ellipsoid_points(point.cholesky, np.zeros(3), truncation_radius(point, 1e-12))
+
+    def test_cap_counts_every_level(self, monkeypatch):
+        point, ch = SiegelPoint.diagonal([1j, 1j, 1j]), ThetaChar((0, 0, 0), (0, 0, 0))
+        R = truncation_radius(point, 1e-12)
+        levels = [len(ellipsoid_points(point.cholesky[k:, k:], np.zeros(3 - k), R)) for k in (2, 1, 0)]
+        assert levels[0] < levels[1] < levels[2] <= thetag.MAX_NUMPY_POINTS
+        monkeypatch.setattr(thetag, "MAX_NUMPY_POINTS", levels[2])
+        assert theta_constant(ch, point, radius=R) == thetag._theta_numpy(point, [0.0] * 3, [0.0] * 3, R)
+        monkeypatch.setattr(thetag, "MAX_NUMPY_POINTS", levels[1])  # passed by the last level alone
+        with pytest.raises(ValueError, match="lattice points"):
+            theta_constant(ch, point, radius=R)
+
+
+class TestTailBound:
+    @pytest.mark.parametrize("Z", [[[1j, 0], [0, 1e-310j]], np.diag([1j, 1j, 1e-300j])])
+    def test_refuses_when_the_bound_overflows(self, Z):
+        point = SiegelPoint(Z)
+        with pytest.raises(ValueError, match="lambda_min"):
+            truncation_radius(point, 1e-12)
+        with pytest.raises(ValueError, match="lambda_min"):
+            theta_constant(ThetaChar((0,) * point.g, (0,) * point.g), point)
+
+    def test_bound_at_the_edge_of_overflow(self):
+        # (2/rho)^2 is near 1e300 here: still formed, so R stays finite and the bound holds.
+        point = SiegelPoint.diagonal([1j, 1e-300j])
+        R = truncation_radius(point, 1e-12)
+        assert math.isfinite(R) and gamma_bound(point, R) <= 1e-12 * (1 + 1e-9)
+
+
 class TestSmallDegreePath:
     """The plain-float sum at g <= SMALL_G against numpy's, which stays callable at every degree."""
 
@@ -369,6 +403,14 @@ class TestSmallDegreePath:
             theta_constant(ThetaChar((0,) * g, (0,) * g), SiegelPoint.diagonal([1j] * g))
         assert thetag.SMALL_G == 2
         assert calls == ["small", "small", "numpy", "numpy"]
+
+    def test_refuses_more_rows_than_the_cap_before_the_second_row(self, monkeypatch):
+        monkeypatch.setattr(thetag, "MAX_SMALL_POINTS", 1000)
+        point = SiegelPoint.diagonal([1e6j, 1e-6j])  # about 6800 rows of n_1
+        rows = thetag._small_ellipsoid(point._U, [0.5, 0.0], truncation_radius(point, 1e-12))
+        assert next(rows)
+        with pytest.raises(ValueError, match="lattice points"):
+            next(rows)
 
     @pytest.mark.parametrize("Z", [[[1e-320j]], [[1e-13j]], [[1j, 0], [0, 1e-300j]], [[1e-300j, 0], [0, 1j]]])
     def test_refuses_a_nearly_singular_point(self, Z):
