@@ -2,8 +2,8 @@
 
 # Each public name's home module, imported on the name's first use (PEP 562): `import modunits`
 # loads no submodule, so a process pays only for the layers it touches.  Without a bytecode
-# cache, compiling every layer costs a cold process about 24 ms.  thetag imports numpy only
-# for degrees above SMALL_G.
+# cache, compiling every module takes about 41 ms (2-vCPU VM, Python 3.11), cycloq, qseries and
+# classical 17 ms of it.  thetag imports numpy only for degrees above SMALL_G.
 _MODULE_OF = {
     "Cyclotomic": "cycloq", "e_of": "cycloq",
     "PuiseuxSeries": "qseries", "product_family": "qseries",
