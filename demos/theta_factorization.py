@@ -14,14 +14,11 @@ from modunits.classical import theta_classical
 from modunits.thetag import (
     SiegelPoint,
     ThetaChar,
-    block_diag_symplectic,
     phi_siegel_identity_residual,
-    symplectic_action,
     theta_constant,
     theta_diag_factorization_residual,
     truncation_radius,
 )
-from modunits.units import GammaMatrix
 
 print("=" * 60)
 print("Proven truncation")
@@ -53,20 +50,6 @@ for _ in range(25):
     taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0)) for _ in range(g)]
     worst = max(worst, theta_diag_factorization_residual(ch, taus))
 print(f"  worst residual over 25 random characteristics: {worst:.2e}")
-
-print()
-print("=" * 60)
-print("Block-diagonal symplectic matrices act componentwise")
-print("=" * 60)
-g1 = GammaMatrix(0, -1, 1, 0)
-g2 = GammaMatrix(1, 1, 0, 1)
-M = block_diag_symplectic([g1, g2])
-import numpy as np
-
-Z = np.diag([1j, 2j])
-acted = symplectic_action(M, Z)
-print("  action on diag(i, 2i):")
-print(" ", np.round(np.diag(acted), 6), "componentwise:", [g1.act(1j), g2.act(2j)])
 
 print()
 print("=" * 60)

@@ -17,8 +17,8 @@ _MODULE_OF = {
     "divisor_of_siegel_power": "cusps", "unit_group_rank": "cusps",
     "SiegelPoint": "thetag", "ThetaChar": "thetag", "theta_constant": "thetag",
     "theta_diag_factorization_residual": "thetag", "phi_siegel_identity_residual": "thetag",
-    "block_diag_symplectic": "thetag",
 }
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):
@@ -28,42 +28,5 @@ def __getattr__(name):
         return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-__all__ = [
-    "Cyclotomic",
-    "e_of",
-    "PuiseuxSeries",
-    "product_family",
-    "eta",
-    "theta_classical",
-    "eisenstein",
-    "discriminant",
-    "j_function",
-    "FracVector",
-    "GammaMatrix",
-    "bernoulli2",
-    "siegel_function",
-    "siegel_power_ord",
-    "transform_vector",
-    "klein_form_0_half",
-    "wp_expansion",
-    "wp_lattice_sum",
-    "weierstrass_unit",
-    "g14",
-    "h1N",
-    "hN",
-    "Cusp",
-    "DivisorVector",
-    "cusp_count",
-    "enumerate_cusps",
-    "divisor_of_siegel_power",
-    "unit_group_rank",
-    "SiegelPoint",
-    "ThetaChar",
-    "theta_constant",
-    "theta_diag_factorization_residual",
-    "phi_siegel_identity_residual",
-    "block_diag_symplectic",
-]
 
 __version__ = "0.1.0"

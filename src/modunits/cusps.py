@@ -17,7 +17,7 @@ from functools import lru_cache, total_ordering
 from math import gcd, lcm
 
 from .cycloq import _prime_factors
-from .units import FracVector, Frozen, GammaMatrix
+from .units import FracVector, Frozen, GammaMatrix, Record
 
 
 @total_ordering
@@ -30,13 +30,9 @@ class Cusp(Frozen):
     def __init__(self, a: int, c: int, level: int):
         if gcd(gcd(a, c), level) != 1:
             raise ValueError(f"({a} : {c}) is not primitive mod {level}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "level", level)
+        self._set(a, c, level)
 
-    def __repr__(self):
-        return f"{type(self).__qualname__}(a={self.a!r}, c={self.c!r}, level={self.level!r})"
-
+    # Not Frozen's: the key leaves out the level, and a divisor's dict build hashes every cusp.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.a, self.c) == (other.a, other.c)
@@ -56,7 +52,7 @@ class Cusp(Frozen):
         return f"({self.a}:{self.c})"
 
 
-class DivisorVector:
+class DivisorVector(Record):
     """A rational divisor supported on the cusps of X(N).  Mutable, so unhashable."""
 
     __slots__ = ("level", "entries")
@@ -64,14 +60,6 @@ class DivisorVector:
     def __init__(self, level: int, entries: dict[Cusp, Fraction]):
         self.level = level
         self.entries = entries
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(level={self.level!r}, entries={self.entries!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.level, self.entries) == (other.level, other.entries)
-        return NotImplemented
 
     def degree(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))

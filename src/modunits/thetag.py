@@ -28,7 +28,7 @@ import numbers
 from fractions import Fraction
 
 from .cycloq import e_of
-from .units import FracVector, Frozen, GammaMatrix, siegel_function
+from .units import FracVector, Frozen, siegel_function
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers read it as True
 if TYPE_CHECKING:
@@ -157,19 +157,7 @@ class ThetaChar(Frozen):
         r, s = tuple(Fraction(x) for x in r), tuple(Fraction(x) for x in s)
         if len(r) != len(s):
             raise ValueError("r and s must have the same length")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(r={self.r!r}, s={self.s!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.r, self.s) == (other.r, other.s)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.r, self.s))
+        self._set(r, s)
 
     @property
     def g(self) -> int:
@@ -326,23 +314,37 @@ def _theta_numpy(point: SiegelPoint, r: list, s: list, R: float) -> complex:
     return complex(np.sum(np.exp(2j * np.pi * (quad + lin))))
 
 
+def _split_integral(xs) -> tuple:
+    """(x', m) with xs = x' + m, m in Z^g the integer parts (rounded toward zero) and so
+    x' in (-1, 1)^g, in exact arithmetic."""
+    m = [math.trunc(x) for x in xs]
+    return [x - k for x, k in zip(xs, m)], m
+
+
 def theta_constant(ch: ThetaChar, point: SiegelPoint, tol: float = 1e-12, radius: float | None = None) -> complex:
     """Theta constant: sum over n in Z^g of e(t(n+r) Z (n+r)/2 + t(n+r) s).
 
-    The sum runs over the ellipsoid ||U(n + r)|| <= R, with R from
+    The characteristic is reduced exactly first: with r = r' + m and s = s' + m' for integer
+    m and m', r' and s' in (-1, 1)^g, the value is e(t(r') m') times the one at (r', s').
+    The sum runs over the ellipsoid ||U(n + r')|| <= R, with R from
     truncation_radius unless radius overrides it: in plain floats up to
-    SMALL_G, with numpy above it.
+    SMALL_G, with numpy above it.  A sum that is not finite raises ValueError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if ch.g != point.g:
         raise ValueError("characteristic and point have different degrees")
     R = truncation_radius(point, tol) if radius is None else radius
-    r = [float(x) for x in ch.r]
-    s = [float(x) for x in ch.s]
-    if point.g <= SMALL_G:
-        return _theta_small(point, r, s, R)
-    return _theta_numpy(point, r, s, R)
+    r, s, angle = ch.r, ch.s, 0
+    if any(abs(x.numerator) >= x.denominator for x in r + s):  # an entry outside (-1, 1)
+        r, _ = _split_integral(r)
+        s, shift = _split_integral(s)
+        angle = sum(x * k for x, k in zip(r, shift)) % 1
+    theta_sum = _theta_small if point.g <= SMALL_G else _theta_numpy
+    value = theta_sum(point, [float(x) for x in r], [float(x) for x in s], R)
+    if not cmath.isfinite(value):
+        raise ValueError(f"the theta sum is not finite: {value}")
+    return value * cmath.exp(2j * math.pi * float(angle)) if angle else value
 
 
 def theta_diag_factorization_residual(ch: ThetaChar, taus, tol: float = 1e-12) -> float:
@@ -380,36 +382,3 @@ def phi_siegel_identity_residual(r, s, tau: complex, trunc=8, tol: float = 1e-12
     phase = e_of((2 * r * s + r - s) / 4).to_complex()
     phi_series = phase * quotient.evaluate(tau)
     return abs(phi_theta - phi_series)
-
-
-def block_diag_symplectic(gammas) -> np.ndarray:
-    """Assemble diag-block [[A, B], [C, D]] from SL2(Z) matrices; verify symplectic."""
-    import numpy as np
-
-    gammas = list(gammas)
-    g = len(gammas)
-    for gm in gammas:
-        if not isinstance(gm, GammaMatrix):
-            raise TypeError("entries must be GammaMatrix instances")
-    A = np.diag([gm.a for gm in gammas])
-    B = np.diag([gm.b for gm in gammas])
-    C = np.diag([gm.c for gm in gammas])
-    D = np.diag([gm.d for gm in gammas])
-    M = np.block([[A, B], [C, D]]).astype(object)
-    J = np.block(
-        [[np.zeros((g, g), dtype=int), -np.eye(g, dtype=int)], [np.eye(g, dtype=int), np.zeros((g, g), dtype=int)]]
-    ).astype(object)
-    if not np.array_equal(M.T @ J @ M, J):
-        raise AssertionError("assembled block matrix is not symplectic")
-    return M.astype(np.int64)
-
-
-def symplectic_action(M: np.ndarray, Z) -> np.ndarray:
-    """(AZ + B)(CZ + D)^(-1) for a 2g x 2g symplectic integer matrix."""
-    import numpy as np
-
-    Z = np.asarray(Z, dtype=complex)
-    g = Z.shape[0]
-    A, B = M[:g, :g], M[:g, g:]
-    C, D = M[g:, :g], M[g:, g:]
-    return (A @ Z + B) @ np.linalg.inv(C @ Z + D)

@@ -19,12 +19,38 @@ from .classical import pentagonal_terms, theta_classical
 from .classical import eta  # noqa: F401
 
 
-class Frozen:
-    """A base for immutable value types, in place of a frozen dataclass: __init__ sets the
-    __slots__ with object.__setattr__, and later assignment or deletion raises AttributeError.
-    Copies and pickles rebuild an instance through its constructor, from the slots in order."""
+class Record:
+    """A base for __slots__ value types, in place of a dataclass: repr lists the slots in order,
+    and two instances are equal when they have the same class and equal slots.  Mutable, so
+    unhashable."""
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+
+class Frozen(Record):
+    """An immutable, hashable Record, in place of a frozen dataclass: __init__ sets the slots in
+    order with _set, and later assignment or deletion raises AttributeError.  Copies and
+    pickles rebuild an instance through its constructor, from the slots in order."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -32,8 +58,11 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __hash__(self):
+        return hash(self._fields())
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+        return type(self), self._fields()
 
 
 class FracVector(Frozen):
@@ -42,19 +71,7 @@ class FracVector(Frozen):
     __slots__ = ("r", "s")
 
     def __init__(self, r, s):
-        object.__setattr__(self, "r", Fraction(r))
-        object.__setattr__(self, "s", Fraction(s))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(r={self.r!r}, s={self.s!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.r, self.s) == (other.r, other.s)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.r, self.s))
+        self._set(Fraction(r), Fraction(s))
 
     def is_integral(self) -> bool:
         return self.r.denominator == 1 and self.s.denominator == 1
@@ -74,19 +91,7 @@ class GammaMatrix(Frozen):
     def __init__(self, a: int, b: int, c: int, d: int):
         if a * d - b * c != 1:
             raise ValueError("matrix must have determinant 1")
-        for name, x in zip(self.__slots__, (a, b, c, d)):
-            object.__setattr__(self, name, x)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        self._set(a, b, c, d)
 
     def __matmul__(self, other: "GammaMatrix") -> "GammaMatrix":
         return GammaMatrix(
@@ -95,9 +100,6 @@ class GammaMatrix(Frozen):
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def act(self, tau: complex) -> complex:
-        return (self.a * tau + self.b) / (self.c * tau + self.d)
 
 
 def bernoulli2(x) -> Fraction:
@@ -206,12 +208,16 @@ def wp_expansion(v: FracVector, trunc) -> PuiseuxSeries:
     return PuiseuxSeries(D // g, {k // g: c for k, c in terms.items()}, trunc, two_pi_i_power=2)
 
 
-def wp_lattice_sum(v: FracVector, tau: complex, m_max: int = 200) -> complex:
+# wp_lattice_sum stops after this many rows on each side of the origin.
+WP_MAX_ROWS = 200
+
+
+def wp_lattice_sum(v: FracVector, tau: complex) -> complex:
     """Numeric p(r*tau + s; [tau, 1]) by row-wise (Eisenstein) lattice summation.
 
     Each row sum over the second lattice coordinate is evaluated in closed
     form as pi^2/sin^2, so the remaining sum over rows converges geometrically;
-    rows are cut at m_max.
+    rows are cut at WP_MAX_ROWS.
     """
     v = v.reduced_mod_1()
     if v.is_integral():
@@ -227,7 +233,7 @@ def wp_lattice_sum(v: FracVector, tau: complex, m_max: int = 200) -> complex:
 
     pi = cmath.pi
     total = pi**2 * inv_sin_sq(pi * z) - pi**2 / 3
-    for m in range(1, m_max + 1):
+    for m in range(1, WP_MAX_ROWS + 1):
         row = (
             pi**2 * inv_sin_sq(pi * (z - m * tau))
             + pi**2 * inv_sin_sq(pi * (z + m * tau))

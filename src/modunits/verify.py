@@ -15,7 +15,7 @@ from . import classical, cusps, units
 from .qseries import PuiseuxSeries, product_family
 
 
-class VerifyReport:
+class VerifyReport(units.Record):
     """One check's outcome.  Mutable (the timer sets wall_ms), so unhashable."""
 
     __slots__ = ("identity", "parameter", "passed", "witness", "wall_ms")
@@ -27,28 +27,8 @@ class VerifyReport:
         self.witness = witness
         self.wall_ms = wall_ms
 
-    def __repr__(self):
-        return (
-            f"{type(self).__qualname__}(identity={self.identity!r}, parameter={self.parameter!r}, "
-            f"passed={self.passed!r}, witness={self.witness!r}, wall_ms={self.wall_ms!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def _key(self) -> tuple:
-        return (self.identity, self.parameter, self.passed, self.witness, self.wall_ms)
-
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "parameter": self.parameter,
-            "passed": self.passed,
-            "witness": self.witness,
-            "wall_ms": round(self.wall_ms, 3),
-        }
+        return dict(zip(self.__slots__, self._fields()), wall_ms=round(self.wall_ms, 3))
 
 
 def _timed(fn):
@@ -162,27 +142,19 @@ def verify_j_coeffs(trunc=4) -> VerifyReport:
     return VerifyReport("j-coeffs", f"trunc={trunc}", True)
 
 
-@_timed
-def verify_bernoulli_nonzero(max_denominator=100) -> VerifyReport:
-    for q in range(1, max_denominator + 1):
-        for p in range(q):
-            if units.bernoulli2(Fraction(p, q)) == 0:
-                return VerifyReport(
-                    "bernoulli-nonzero", f"denominators<={max_denominator}", False, witness=f"B2({p}/{q}) = 0"
-                )
-    return VerifyReport("bernoulli-nonzero", f"denominators<={max_denominator}", True)
+# verify_cusp_count compares the enumeration with the formula at every level from 2 to this.
+CUSP_COUNT_MAX_LEVEL = 24
 
 
 @_timed
-def verify_cusp_count(max_level=24) -> VerifyReport:
-    for N in range(2, max_level + 1):
+def verify_cusp_count() -> VerifyReport:
+    param = f"N<={CUSP_COUNT_MAX_LEVEL}"
+    for N in range(2, CUSP_COUNT_MAX_LEVEL + 1):
         listed = len(cusps.enumerate_cusps(N))
         formula = cusps.cusp_count(N)
         if listed != formula:
-            return VerifyReport(
-                "cusp-count", f"N<={max_level}", False, witness=f"N={N}: enumerated {listed}, formula {formula}"
-            )
-    return VerifyReport("cusp-count", f"N<={max_level}", True)
+            return VerifyReport("cusp-count", param, False, witness=f"N={N}: enumerated {listed}, formula {formula}")
+    return VerifyReport("cusp-count", param, True)
 
 
 @_timed
@@ -198,20 +170,23 @@ def verify_rank(N=4) -> VerifyReport:
     return VerifyReport("rank", f"N={N}", True)
 
 
+# verify_wp_oracle compares the p-series with the lattice sum at these vectors, trunc and tau.
 WP_ORACLE_VECTORS = (
     (Fraction(1, 4), Fraction(0)),
     (Fraction(0), Fraction(1, 3)),
     (Fraction(1, 5), Fraction(1, 5)),
 )
+WP_ORACLE_TAU = 2j
+WP_ORACLE_TRUNC = 30
 
 
 @_timed
-def verify_wp_oracle(tol=1e-8, tau=2j, trunc=30) -> VerifyReport:
+def verify_wp_oracle(tol=1e-8) -> VerifyReport:
     worst = 0.0
     for r, s in WP_ORACLE_VECTORS:
         v = units.FracVector(r, s)
-        series_value = units.wp_expansion(v, trunc).evaluate(tau)
-        lattice_value = units.wp_lattice_sum(v, tau)
+        series_value = units.wp_expansion(v, WP_ORACLE_TRUNC).evaluate(WP_ORACLE_TAU)
+        lattice_value = units.wp_lattice_sum(v, WP_ORACLE_TAU)
         worst = max(worst, abs(series_value - lattice_value))
     passed = worst < tol
     return VerifyReport("wp-oracle", f"tol={tol}", passed, witness=f"max residual {worst:.3e}")
@@ -279,7 +254,6 @@ IDENTITY_RUNNERS = {
     "g14-theta": (verify_g14_theta, ("trunc",)),
     "delta-eta": (verify_delta_eta, ("trunc",)),
     "j-coeffs": (verify_j_coeffs, ("trunc",)),
-    "bernoulli-nonzero": (verify_bernoulli_nonzero, ()),
     "cusp-count": (verify_cusp_count, ()),
     "rank": (verify_rank, ("N",)),
     "wp-oracle": (verify_wp_oracle, ("tol",)),

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -13,15 +14,12 @@ from modunits.thetag import (
     NotPositiveDefiniteError,
     SiegelPoint,
     ThetaChar,
-    block_diag_symplectic,
     ellipsoid_points,
     phi_siegel_identity_residual,
-    symplectic_action,
     theta_constant,
     theta_diag_factorization_residual,
     truncation_radius,
 )
-from modunits.units import GammaMatrix
 
 
 def random_point(rng, g, lambda_min=None):
@@ -469,6 +467,23 @@ class TestDiagonalFactorization:
             assert theta_diag_factorization_residual(ch, taus, tol=1e-13) < 1e-10
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_integral_shift_of_the_characteristic(g):
+    """theta[r + m; s + m'] = e(r^T m') theta[r; s] for integer vectors m and m', up to 10^21."""
+    rng = np.random.default_rng(230 + g)
+
+    def integer_vector():
+        return [int(a) * 10**20 + int(b) for a, b in rng.integers(-9, 10, (g, 2))]
+
+    for _ in range(4):
+        point, ch = random_point(rng, g), random_char(rng, g)
+        m, m2 = integer_vector(), integer_vector()
+        shifted = ThetaChar([x + k for x, k in zip(ch.r, m)], [x + k for x, k in zip(ch.s, m2)])
+        phase = cmath.exp(2j * math.pi * float(sum(x * k for x, k in zip(ch.r, m2)) % 1))
+        expected = phase * theta_constant(ch, point)
+        assert abs(theta_constant(shifted, point) - expected) < 1e-12
+
+
 class TestPhiSiegelIdentity:
     def test_zero_characteristic_is_trivial(self):
         assert phi_siegel_identity_residual(0, 0, 2j) < 1e-8
@@ -482,25 +497,3 @@ class TestPhiSiegelIdentity:
     def test_half_integral_rejected(self):
         with pytest.raises(ValueError):
             phi_siegel_identity_residual(F(1, 2), F(1, 2), 1j)
-
-
-class TestBlockDiagSymplectic:
-    def test_identity_case(self):
-        M = block_diag_symplectic([GammaMatrix(1, 0, 0, 1)] * 3)
-        assert np.array_equal(M, np.eye(6, dtype=np.int64))
-
-    def test_symplectic_condition(self):
-        M = block_diag_symplectic([GammaMatrix(0, -1, 1, 0), GammaMatrix(1, 1, 0, 1)])
-        g = 2
-        J = np.block([[np.zeros((g, g), dtype=int), -np.eye(g, dtype=int)],
-                      [np.eye(g, dtype=int), np.zeros((g, g), dtype=int)]])
-        assert np.array_equal(M.T @ J @ M, J)
-
-    def test_action_is_componentwise(self):
-        g1 = GammaMatrix(0, -1, 1, 0)
-        g2 = GammaMatrix(1, 1, 0, 1)
-        M = block_diag_symplectic([g1, g2])
-        Z = np.diag([1j, 2j])
-        acted = symplectic_action(M, Z)
-        expected = np.diag([g1.act(1j), g2.act(2j)])
-        assert np.max(np.abs(acted - expected)) < 1e-12
