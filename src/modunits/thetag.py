@@ -335,11 +335,9 @@ def theta_constant(ch: ThetaChar, point: SiegelPoint, tol: float = 1e-12, radius
     if ch.g != point.g:
         raise ValueError("characteristic and point have different degrees")
     R = truncation_radius(point, tol) if radius is None else radius
-    r, s, angle = ch.r, ch.s, 0
-    if any(abs(x.numerator) >= x.denominator for x in r + s):  # an entry outside (-1, 1)
-        r, _ = _split_integral(r)
-        s, shift = _split_integral(s)
-        angle = sum(x * k for x, k in zip(r, shift)) % 1
+    r, _ = _split_integral(ch.r)
+    s, shift = _split_integral(ch.s)
+    angle = sum(x * k for x, k in zip(r, shift)) % 1
     theta_sum = _theta_small if point.g <= SMALL_G else _theta_numpy
     value = theta_sum(point, [float(x) for x in r], [float(x) for x in s], R)
     if not cmath.isfinite(value):
