@@ -96,5 +96,4 @@ def j_function(trunc) -> PuiseuxSeries:
     """The elliptic modular function, computed as 1728 * g2^3 / Delta."""
     trunc = Fraction(trunc)
     g2_cube, delta = _g2_cube_and_discriminant(trunc + 2)
-    j = g2_cube.scaled(1728) * delta.inverse()
-    return j.truncated_to(min(j.trunc, trunc))
+    return (g2_cube.scaled(1728) * delta.inverse()).truncated_to(trunc)

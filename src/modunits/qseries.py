@@ -187,18 +187,14 @@ class PuiseuxSeries:
 
     def inverse(self) -> "PuiseuxSeries":
         """Multiplicative inverse: self * inverse() == 1 up to truncation."""
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert the zero series")
-        t = _leading_angle(self.terms)
-        return self._unit_free_inverse(t).rotated(-t)
+        return self ** -1
 
-    def _unit_free_inverse(self, t) -> "PuiseuxSeries":
-        """The inverse of e(-t)*self, self nonzero, by Newton's iteration from key 0.  With the
-        lowest coefficient lambda*e(t), that is the series over the field of the unit-free part."""
+    def _inverse(self) -> "PuiseuxSeries":
+        """The inverse of self, nonzero, by Newton's iteration from key 0."""
         d = self.denom
         v = min(self.terms)  # ord * d
         rel_prec = self.trunc * d - v  # known relative lattice length
-        a = _rotated({k - v: c for k, c in self.terms.items()}, -t)
+        a = {k - v: c for k, c in self.terms.items()}
         b = _newton_inverse(a, ceil(rel_prec), lcm(*(c.order for c in a.values())))
         trunc = self.trunc - 2 * Fraction(v, d)
         return PuiseuxSeries(d, {k - v: c for k, c in b.items()}, trunc, -self.two_pi_i_power)
@@ -206,32 +202,29 @@ class PuiseuxSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("0 cannot be raised to a negative power")
-            # self^n = e(nt) * ((e(-t)*self)^-1)^-n, the inverse left unit-free.
-            t = _leading_angle(self.terms)
-            return self._unit_free_inverse(t)._power(-n).rotated(n * t)
+        if self.is_zero():
+            if n <= 0:
+                raise ZeroDivisionError(f"the zero series has no power {n}")
+            return PuiseuxSeries(self.denom, {}, n * self.trunc, n * self.two_pi_i_power)
         if n == 0:
-            if self.is_zero():
-                raise ZeroDivisionError("0**0 is undefined for series")
             return PuiseuxSeries.one(self.trunc - self.ord())
-        # With a leading coefficient lambda*e(t), self^n = e(nt) * (e(-t)*self)^n.
+        # With a leading coefficient lambda*e(t), self^n = e(nt) * (e(-t)*self)^n; for n < 0 the
+        # unit-free series e(-t)*self is inverted, and its inverse raised to -n.
         t = _leading_angle(self.terms)
-        return self.rotated(-t)._power(n).rotated(n * t)
+        unit_free = self.rotated(-t)
+        base = unit_free if n > 0 else unit_free._inverse()
+        return base._power(abs(n)).rotated(n * t)
 
     def _power(self, n: int) -> "PuiseuxSeries":
-        """self^n, n >= 1, by binary powering in the kernel's flat form: one _dense, then squares
-        and products of one integer coordinate list over one denominator, then one _sparse.
+        """self^n, self nonzero, n >= 1, by binary powering in the kernel's flat form: one _dense,
+        then squares and products of one integer coordinate list over one denominator, one _sparse.
 
         The n-th power starts at n*v and is known below trunc + (n - 1)*v/d, as a chain of
         products gives, so every power is known on the same relative keys k - n*v < trunc*d - v,
         all multiples of the gcd g of the base's relative keys."""
-        d, p = self.denom, self.two_pi_i_power
-        if not self.terms:
-            return PuiseuxSeries(d, {}, n * self.trunc, n * p)
         if n == 1:
             return self
+        d, p = self.denom, self.two_pi_i_power
         v = min(self.terms)
         limit = ceil(self.trunc * d - v)
         g = gcd(*(k - v for k in self.terms if k - v < limit)) or limit

@@ -98,49 +98,43 @@ def _small_factor(rows) -> tuple:
 class SiegelPoint:
     """A g x g complex symmetric matrix with positive-definite imaginary part.
 
-    Z and cholesky (the upper-triangular U with pi * Im Z = U^T U) are numpy
-    arrays.  Up to SMALL_G they are built on first access from the closed
-    forms; above it, at construction, with numpy's eigvalsh and Cholesky.
+    It keeps the rows of Z and one factor _U: the upper-triangular U with
+    pi * Im Z = U^T U, shared by every characteristic at the point.  Up to
+    SMALL_G, U is tuple rows from the closed forms; above it, a numpy array
+    from numpy's eigvalsh and Cholesky.  Z and cholesky are numpy arrays
+    built from these on each access.
     """
 
-    __slots__ = ("g", "lambda_min", "_rows", "_U", "_Z", "_cholesky")
+    __slots__ = ("g", "lambda_min", "_rows", "_U")
 
     def __init__(self, Z):
         rows = _square_rows(Z)
         self.g = len(rows)
         self._rows = rows
-        self._Z = self._cholesky = self._U = None
         if self.g <= SMALL_G:
-            # U is shared by every characteristic at this point.
             self.lambda_min, self._U = _small_factor(rows)
             return
         import numpy as np
 
-        Z = np.array(rows, dtype=complex)
-        eigs = np.linalg.eigvalsh(Z.imag)
+        Y = np.array(rows, dtype=complex).imag
+        eigs = np.linalg.eigvalsh(Y)
         if eigs[0] <= 0:
             raise NotPositiveDefiniteError(f"Im Z has smallest eigenvalue {eigs[0]}")
-        self._Z = Z
         self.lambda_min = float(eigs[0])
-        # Upper-triangular U with pi * Im Z = U^T U, shared by every characteristic at this point.
         # The transpose keeps LAPACK's column-major layout, which the enumeration reads faster.
-        self._cholesky = np.linalg.cholesky(math.pi * Z.imag).T
+        self._U = np.linalg.cholesky(math.pi * Y).T
 
     @property
     def Z(self) -> np.ndarray:
-        if self._Z is None:
-            import numpy as np
+        import numpy as np
 
-            self._Z = np.array(self._rows, dtype=complex)
-        return self._Z
+        return np.array(self._rows, dtype=complex)
 
     @property
     def cholesky(self) -> np.ndarray:
-        if self._cholesky is None:
-            import numpy as np
+        import numpy as np
 
-            self._cholesky = np.array(self._U)
-        return self._cholesky
+        return np.array(self._U)
 
     @classmethod
     def diagonal(cls, taus) -> "SiegelPoint":
@@ -279,19 +273,18 @@ def _too_many_points(cap: int) -> ValueError:
     return ValueError(f"the theta sum needs more than {cap} lattice points")
 
 
-def _theta_small(point: SiegelPoint, r: list, s: list, R: float) -> complex:
-    """The theta sum over _small_ellipsoid, in plain floats (g <= 2).
+def _theta_small(rows: tuple, U: tuple, r: list, s: list, R: float) -> complex:
+    """The theta sum at the rows of Z over _small_ellipsoid, in plain floats (g <= 2).
 
     With x = n + r, the exponent 2 pi i (x^T Z x / 2 + x . s) is
     x_0 (pi i Z_00 x_0 + b) + e, where b and e depend on x_1 alone.  Each term
     takes one cmath.exp of the whole exponent, whose real part -||U x||^2 is
     at most 0; for a correlated Im Z the two parts alone can pass 700 and overflow.
     """
-    rows = point._rows
     pi_i = 1j * math.pi
     a0, b0, r0 = pi_i * rows[0][0], 2 * pi_i * s[0], r[0]
     total = 0j
-    for outer, n0s in _small_ellipsoid(point._U, r, R):
+    for outer, n0s in _small_ellipsoid(U, r, R):
         b, e = b0, 0j
         if outer:
             x1 = outer[0] + r[1]
@@ -303,13 +296,13 @@ def _theta_small(point: SiegelPoint, r: list, s: list, R: float) -> complex:
     return total
 
 
-def _theta_numpy(point: SiegelPoint, r: list, s: list, R: float) -> complex:
-    """The theta sum over ellipsoid_points, vectorised with numpy (any g)."""
+def _theta_numpy(rows: tuple, U: np.ndarray, r: list, s: list, R: float) -> complex:
+    """The theta sum at the rows of Z over ellipsoid_points, vectorised with numpy (any g)."""
     import numpy as np
 
     r, s = np.array(r), np.array(s)
-    x = ellipsoid_points(point.cholesky, r, R) + r  # rows n + r
-    quad = np.einsum("ij,jk,ik->i", x, point.Z, x) / 2.0
+    x = ellipsoid_points(np.asarray(U), r, R) + r  # rows n + r
+    quad = np.einsum("ij,jk,ik->i", x, np.array(rows, dtype=complex), x) / 2.0
     lin = x @ s
     return complex(np.sum(np.exp(2j * np.pi * (quad + lin))))
 
@@ -324,22 +317,35 @@ def _split_integral(xs) -> tuple:
 def theta_constant(ch: ThetaChar, point: SiegelPoint, tol: float = 1e-12, radius: float | None = None) -> complex:
     """Theta constant: sum over n in Z^g of e(t(n+r) Z (n+r)/2 + t(n+r) s).
 
-    The characteristic is reduced exactly first: with r = r' + m and s = s' + m' for integer
-    m and m', r' and s' in (-1, 1)^g, the value is e(t(r') m') times the one at (r', s').
-    The sum runs over the ellipsoid ||U(n + r')|| <= R, with R from
-    truncation_radius unless radius overrides it: in plain floats up to
-    SMALL_G, with numpy above it.  A sum that is not finite raises ValueError.
+    The characteristic and Re Z are reduced exactly first.  r = r' + m, m integer and r' in
+    (-1, 1)^g, leaves the value unchanged.  Let B = round(Re Z), read from the upper triangle
+    and mirrored, and d its diagonal.  As n^T B n / 2 = n^T d / 2 (mod 1), the value at Z is
+    e(-(r'^T B r' + r'^T d)/2) times the one at Z - B with s + B r' + d/2 in place of s.  That
+    s is split as s' + m', m' integer and s' in (-1, 1)^g, for a factor e(t(r') m').  Im Z is
+    unchanged, so the sum at Z - B uses the point's U: it runs over the ellipsoid
+    ||U(n + r')|| <= R, with R from truncation_radius unless radius overrides it, in plain
+    floats up to SMALL_G and with numpy above it.  A sum that is not finite raises ValueError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if ch.g != point.g:
         raise ValueError("characteristic and point have different degrees")
     R = truncation_radius(point, tol) if radius is None else radius
+    g, rows = point.g, point._rows
+    B = [[round(rows[min(i, j)][max(i, j)].real) for j in range(g)] for i in range(g)]
     r, _ = _split_integral(ch.r)
-    s, shift = _split_integral(ch.s)
-    angle = sum(x * k for x, k in zip(r, shift)) % 1
-    theta_sum = _theta_small if point.g <= SMALL_G else _theta_numpy
-    value = theta_sum(point, [float(x) for x in r], [float(x) for x in s], R)
+    s, angle = list(ch.s), 0
+    for i, row in enumerate(B):
+        for j, b in enumerate(row):
+            if b:  # this entry's terms of s + B r' + d/2 and of -(r'^T B r' + r'^T d)/2
+                diag = Fraction(1, 2) if i == j else 0
+                s[i] += b * (r[j] + diag)
+                angle -= b * r[i] * (r[j] + 2 * diag) / 2
+    s, shift = _split_integral(s)
+    angle = sum((x * k for x, k in zip(r, shift)), angle) % 1
+    reduced = tuple(tuple(z - b for z, b in zip(row, brow)) for row, brow in zip(rows, B))
+    theta_sum = _theta_small if g <= SMALL_G else _theta_numpy
+    value = theta_sum(reduced, point._U, [float(x) for x in r], [float(x) for x in s], R)
     if not cmath.isfinite(value):
         raise ValueError(f"the theta sum is not finite: {value}")
     return value * cmath.exp(2j * math.pi * float(angle)) if angle else value

@@ -177,32 +177,26 @@ def wp_expansion(v: FracVector, trunc) -> PuiseuxSeries:
     r, s = v.r, v.s
     trunc = Fraction(trunc)
     D, a = r.denominator, r.numerator
-    bound = trunc * D
-    terms = {0: Cyclotomic.from_rational(Fraction(1, 12))}  # key k stands for q^(k/D)
-    # powers[j] = e(s)^j: e(ks) is powers[k mod den(s)], each at its conductor, a divisor of den(s).
-    zeta = e_of(s)
-    powers = [Cyclotomic.one()]
-    while len(powers) < s.denominator:
-        powers.append(powers[-1] * zeta)
+    S, b = s.denominator, s.numerator
+    limit = math.ceil(trunc * D)  # key k stands for q^(k/D), and k < trunc * D
+    rows: dict[int, list[int]] = {}  # key -> integer coefficients of e(j/S), j = 0..S-1
 
     def add_geometric(step, sign, scale=1):
         # scale * u/(1-u)^2 = scale * sum_{k>=1} k u^k with u = q^(step/D) * e(sign * s)
-        k = 1
-        while k * step < bound:
-            c = powers[sign * k % len(powers)] * (scale * k)
-            terms[k * step] = terms[k * step] + c if k * step in terms else c
-            k += 1
+        for k, key in enumerate(range(step, limit, step), 1):
+            rows.setdefault(key, [0] * S)[sign * b * k % S] += scale * k
 
-    if r == 0:
-        terms[0] = terms[0] + zeta / (Cyclotomic.one() - zeta) ** 2
-    else:
+    if r != 0:
         add_geometric(a, 1)
-    n = 1
-    while n - r < trunc:
+    for n in range(1, math.ceil(trunc + r)):  # n - r < trunc
         add_geometric(n * D + a, 1)
         add_geometric(n * D - a, -1)
         add_geometric(n * D, 0, -2)
-        n += 1
+    terms = {key: Cyclotomic(S, row) for key, row in rows.items()}
+    terms[0] = Cyclotomic.from_rational(Fraction(1, 12))
+    if r == 0:
+        zeta = e_of(s)
+        terms[0] += zeta / (Cyclotomic.one() - zeta) ** 2
     # The lattice is the coarsest one holding every exponent inserted.
     g = math.gcd(D, *terms)
     return PuiseuxSeries(D // g, {k // g: c for k, c in terms.items()}, trunc, two_pi_i_power=2)
@@ -252,10 +246,9 @@ def weierstrass_unit(v1: FracVector, w1: FracVector, v2: FracVector, w2: FracVec
             raise ValueError(f"degenerate index pair {a} ~ +-{b} (mod Z^2)")
     trunc = Fraction(trunc)
     pad = trunc + 2
-    num = wp_expansion(v1, pad) - wp_expansion(w1, pad)
-    den = wp_expansion(v2, pad) - wp_expansion(w2, pad)
-    out = num * den.inverse()
-    return out.truncated_to(min(out.trunc, trunc))
+    wp = {v: wp_expansion(v, pad) for v in dict.fromkeys((v1, w1, v2, w2))}
+    out = (wp[v1] - wp[w1]) * (wp[v2] - wp[w2]).inverse()
+    return out.truncated_to(trunc)
 
 
 def _congruent_up_to_sign(a: FracVector, b: FracVector) -> bool:

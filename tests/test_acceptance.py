@@ -3,6 +3,7 @@ import time
 from fractions import Fraction as F
 
 from modunits import classical, cusps, units, verify
+from modunits.qseries import PuiseuxSeries, product_family
 
 
 def _report(num: int, label: str, passed: bool, detail: str = ""):
@@ -33,9 +34,15 @@ def test_03_theta_eta_relations_order_200():
 
 def test_04_g14_chain_order_60():
     rep_theta = verify.verify_g14_theta(trunc=60)
-    rep_eta = verify.verify_g14_eta(trunc=60)  # includes the inverse product form
-    _report(4, "g14-chain", rep_theta.passed and rep_eta.passed,
-            (rep_theta.witness or "") + (rep_eta.witness or ""))
+    rep_eta = verify.verify_g14_eta(trunc=60)
+    # The inverse product form q^-1 prod (1 + q^n)^-8 (1 + q^(2n))^-8, built factor by factor.
+    factors = [(-1, e, -8) for n in range(1, 62) for e in (n, 2 * n)]
+    product_form = PuiseuxSeries.monomial(1, -1, 61) * product_family(factors, 62)
+    mismatch = (units.g14(63) - 16).truncated_to(60).first_mismatch(product_form.truncated_to(60))
+    witness = (rep_theta.witness or "") + (rep_eta.witness or "")
+    if mismatch is not None:
+        witness += f"product form differs at q^{mismatch}"
+    _report(4, "g14-chain", rep_theta.passed and rep_eta.passed and mismatch is None, witness)
 
 
 def test_05_siegel_power_order_formula():

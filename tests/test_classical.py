@@ -124,7 +124,7 @@ class TestJ:
         j = j_function(6)
         assert all(j.coefficient(e).is_rational() for e in j.exponents())
 
-    @pytest.mark.parametrize("trunc", [F(11, 2), F(13, 3), 5])
+    @pytest.mark.parametrize("trunc", [F(11, 2), F(13, 3), 5, F(-1, 2), F(1, 7), F(29, 4)])
     def test_off_lattice_trunc_agrees_with_higher_trunc(self, trunc):
         j = j_function(trunc)
         assert j.trunc == trunc

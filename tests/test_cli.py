@@ -78,6 +78,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "g14-eta", "--trunc", "20")
         assert code == 0
 
+    def test_g14_eta_at_the_trunc_cap(self, capsys):
+        # One comparison with the eta quotient; a second, through product_family, took 14 s here.
+        code, out, _ = run(capsys, "verify", "g14-eta", "--trunc", str(MAX_TRUNC), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["wall_ms"] < 2000
+
     def test_rank_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "rank", "--N", "4", "--format", "json")
         assert code == 0
@@ -215,8 +223,27 @@ class TestTheta:
         data = json.loads(out)
         assert abs(complex(data["value_re"], data["value_im"]) - 1.0864348112133082) < 1e-15
 
-    def test_overflowing_sum_exit_2(self, capsys):
-        code, out, err = run(capsys, "theta", "--g", "1", "--char", "0:0", "--point", "1e308+1i")
+    @pytest.mark.parametrize(
+        "g, point, reduced",
+        [("1", "1e16+1i", "1i"), ("1", "1e308+1i", "1i"), ("2", "1e16+1i,2i", "1i,2i")],
+    )
+    def test_even_real_part_is_reduced_exactly(self, capsys, g, point, reduced):
+        # 1e16 and 1e308 are even integers, so theta[0;0] takes its value at the reduced point.
+        char = ",".join(["0"] * int(g)) + ":" + ",".join(["0"] * int(g))
+        values = []
+        for z in (point, reduced):
+            code, out, _ = run(capsys, "theta", "--g", g, "--char", char, "--point", z)
+            assert code == 0
+            data = json.loads(out)
+            values.append(complex(data["value_re"], data["value_im"]))
+        assert abs(values[0] - values[1]) < 1e-15
+        if g == "1":
+            assert abs(values[0] - 1.0864348112133082) < 1e-15
+
+    def test_overflowing_sum_exit_2(self, capsys, monkeypatch):
+        # Re Z is reduced before the sum, so no finite point overflows it; an infinite sum stands in.
+        monkeypatch.setattr(thetag, "_theta_small", lambda *args: complex("inf"))
+        code, out, err = run(capsys, "theta", "--g", "1", "--char", "0:0", "--point", "1i")
         assert code == 2
         assert out == ""
         assert "not finite" in err
@@ -243,7 +270,7 @@ class TestTheta:
         assert code == 0
         data = json.loads(out)
         point = thetag.SiegelPoint([[1j, 0.98j], [0.98j, 1j]])
-        expected = thetag._theta_numpy(point, [0.0, 0.0], [0.0, 0.0], data["radius"])
+        expected = thetag._theta_numpy(point._rows, point._U, [0.0, 0.0], [0.0, 0.0], data["radius"])
         assert abs(complex(data["value_re"], data["value_im"]) - expected) <= 1e-13 * abs(expected)
 
     @pytest.mark.parametrize(

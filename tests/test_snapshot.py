@@ -71,6 +71,12 @@ def cases():
     for t in (40, F(81, 4)):
         out.append((f"theta3^4@{t}", lambda t=t: theta_classical(3, t) ** 4))
         out.append((f"theta4^-4@{t}", lambda t=t: theta_classical(4, t) ** -4))
+    # p at r = 0, whose constant term zeta/(1 - zeta)^2 takes a Euclid inverse.
+    for s, t in ((F(1, 3), 10), (F(1, 4), F(23, 2)), (F(1, 6), F(28, 3))):
+        out.append((f"wp[0,{s}]@{t}", lambda s=s, t=t: wp_expansion(FracVector(0, s), t)))
+    for n, t in ((3, 9), (8, F(15, 2)), (12, 6)):
+        out.append((f"h1N({n})@{t}", lambda n=n, t=t: h1N(n, t)))
+        out.append((f"hN({n})@{t}", lambda n=n, t=t: hN(n, t)))
     return out
 
 

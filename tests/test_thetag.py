@@ -306,7 +306,7 @@ class TestEllipsoid:
         levels = [len(ellipsoid_points(point.cholesky[k:, k:], np.zeros(3 - k), R)) for k in (2, 1, 0)]
         assert levels[0] < levels[1] < levels[2] <= thetag.MAX_NUMPY_POINTS
         monkeypatch.setattr(thetag, "MAX_NUMPY_POINTS", levels[2])
-        assert theta_constant(ch, point, radius=R) == thetag._theta_numpy(point, [0.0] * 3, [0.0] * 3, R)
+        assert theta_constant(ch, point, radius=R) == thetag._theta_numpy(point._rows, point._U, [0.0] * 3, [0.0] * 3, R)
         monkeypatch.setattr(thetag, "MAX_NUMPY_POINTS", levels[1])  # passed by the last level alone
         with pytest.raises(ValueError, match="lattice points"):
             theta_constant(ch, point, radius=R)
@@ -340,7 +340,8 @@ class TestSmallDegreePath:
         n_numpy = {tuple(int(v) for v in row) for row in ellipsoid_points(point.cholesky, np.array(r), R)}
         assert sum(len(n0s) for _, n0s in rows) == len(n_small) == len(n_numpy)
         assert n_small == n_numpy
-        return thetag._theta_small(point, r, s, R), thetag._theta_numpy(point, r, s, R)
+        args = point._rows, point._U, r, s, R
+        return thetag._theta_small(*args), thetag._theta_numpy(*args)
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("tol", [1e-4, 1e-7, 1e-10, 1e-13])
@@ -482,6 +483,26 @@ def test_integral_shift_of_the_characteristic(g):
         phase = cmath.exp(2j * math.pi * float(sum(x * k for x, k in zip(ch.r, m2)) % 1))
         expected = phase * theta_constant(ch, point)
         assert abs(theta_constant(shifted, point) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_integral_shift_of_the_point(g):
+    """theta[r;s](Z + B) = e(-(r^T B r + r^T d)/2) theta[r; s + B r + d/2](Z) for a symmetric
+    integer B with diagonal d, entries up to 10^6 and odd diagonal entries among them.  Re Z is
+    on a 2^-10 grid, so Z + B is exact in floats."""
+    rng = np.random.default_rng(250 + g)
+    for _ in range(4):
+        base, ch = random_point(rng, g).Z, random_char(rng, g)
+        Z = np.round(base.real * 1024) / 1024 + 1j * base.imag
+        upper = rng.integers(-10**6, 10**6 + 1, (g, g))
+        upper[0, 0] |= 1
+        B = [[int(upper[min(i, j), max(i, j)]) for j in range(g)] for i in range(g)]
+        Br = [sum(b * x for b, x in zip(row, ch.r)) for row in B]
+        d = [B[i][i] for i in range(g)]
+        moved = ThetaChar(ch.r, [x + y + F(k, 2) for x, y, k in zip(ch.s, Br, d)])
+        angle = -sum(x * (y + k) for x, y, k in zip(ch.r, Br, d)) / 2 % 1
+        expected = cmath.exp(2j * math.pi * float(angle)) * theta_constant(moved, SiegelPoint(Z))
+        assert abs(theta_constant(ch, SiegelPoint(Z + np.array(B))) - expected) < 1e-12
 
 
 class TestPhiSiegelIdentity:

@@ -1,10 +1,14 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modunits import qseries, units
 from modunits.classical import eta
-from modunits.cycloq import e_of
+from modunits.cycloq import Cyclotomic, e_of
 from modunits.qseries import PuiseuxSeries, product_family
 from modunits.units import (
     FracVector,
@@ -164,7 +168,60 @@ class TestKleinForm:
         assert klein_form_0_half(trunc) == g.truncated_to(trunc).with_two_pi_i_power(-1)
 
 
+def wp_term_by_term(v: FracVector, trunc) -> PuiseuxSeries:
+    """wp_expansion as it was built before its coefficients became integer rows: one Cyclotomic
+    product and one sum per term, from a table of the powers of e(s)."""
+    v = v.reduced_mod_1()
+    r, s = v.r, v.s
+    trunc = F(trunc)
+    D, a = r.denominator, r.numerator
+    bound = trunc * D
+    terms = {0: Cyclotomic.from_rational(F(1, 12))}
+    zeta = e_of(s)
+    powers = [Cyclotomic.one()]
+    while len(powers) < s.denominator:
+        powers.append(powers[-1] * zeta)
+
+    def add_geometric(step, sign, scale=1):
+        k = 1
+        while k * step < bound:
+            c = powers[sign * k % len(powers)] * (scale * k)
+            terms[k * step] = terms[k * step] + c if k * step in terms else c
+            k += 1
+
+    if r == 0:
+        terms[0] = terms[0] + zeta / (Cyclotomic.one() - zeta) ** 2
+    else:
+        add_geometric(a, 1)
+    n = 1
+    while n - r < trunc:
+        add_geometric(n * D + a, 1)
+        add_geometric(n * D - a, -1)
+        add_geometric(n * D, 0, -2)
+        n += 1
+    g = math.gcd(D, *terms)
+    return PuiseuxSeries(D // g, {k // g: c for k, c in terms.items()}, trunc, two_pi_i_power=2)
+
+
+@st.composite
+def wp_indices(draw):
+    """(r, s, trunc): r = a/D and s = b/S with D, S <= 12, r = 0 among them, and a trunc on or off
+    the exponent lattice."""
+    D, S = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r, s = F(draw(st.integers(0, D - 1)), D), F(draw(st.integers(0, S - 1)), S)
+    assume(r or s)
+    trunc = F(draw(st.integers(1, 8 * D)), D) + draw(st.sampled_from([0, F(1, 7 * D)]))
+    return r, s, trunc
+
+
 class TestWpExpansion:
+    @settings(max_examples=120, deadline=None)
+    @given(wp_indices())
+    def test_matches_the_term_by_term_construction(self, index):
+        r, s, trunc = index
+        v = FracVector(r, s)
+        assert wp_expansion(v, trunc).to_json() == wp_term_by_term(v, trunc).to_json()
+
     def test_even_in_the_index(self):
         v = FracVector(F(1, 5), F(2, 5))
         a = wp_expansion(v, 6)
@@ -229,6 +286,20 @@ class TestWeierstrassUnit:
             return wp_lattice_sum(FracVector(r, s), tau)
         numeric = (wp(F(1, 6), 0) - wp(0, F(1, 2))) / (wp(0, F(1, 2)) - wp(0, F(1, 4)))
         assert abs(series_value - numeric) < 1e-8
+
+    def test_keeps_the_requested_truncation(self):
+        # ord(p_v - p_w) <= 1/2 for non-congruent pairs, so the pad of 2 covers the inverse.
+        rng = random.Random(24)
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            while True:
+                vs = [FracVector(F(rng.randrange(n), n), F(rng.randrange(n), n)) for _ in range(4)]
+                if not any(v.is_integral() for v in vs) and not any(
+                    units._congruent_up_to_sign(a, b) for a, b in (vs[:2], vs[2:])
+                ):
+                    break
+            trunc = F(rng.randint(1, 5 * n), n) + rng.choice([0, F(1, 3 * n)])
+            assert weierstrass_unit(*vs, trunc).trunc == trunc
 
     def test_cyclotomic_order_divides_twice_index_lcm(self):
         series = h1N(5, 6)
