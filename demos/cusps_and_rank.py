@@ -34,8 +34,8 @@ for cusp in enumerate_cusps(4):
 
 print("\nDivisor of the 48th power of the unit indexed by (1/4, 0):")
 div = divisor_of_siegel_power(FracVector(F(1, 4), 0), 4)
-for cusp, mult in sorted(div.entries.items()):
-    print(f"  ({cusp.a}:{cusp.c}) : {mult}")
+for cusp, mult in zip(enumerate_cusps(4), div.orders):
+    print(f"  ({cusp.a}:{cusp.c}) : {F(mult, 4)}")
 print("  degree:", div.degree())
 
 print()

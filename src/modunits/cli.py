@@ -17,10 +17,10 @@ if TYPE_CHECKING:
 
 # Each command imports the engine layers it uses, inside its cmd_ function, so a short process
 # compiles and loads no other module: expand of eta, theta2-4, g2, g3, delta or j loads
-# classical, qseries and cycloq alone, and no command but verify loads verify.  theta and
-# verify still load the whole exact engine, because bench/tracer.py patches the names that
-# thetag and verify import from units and qseries at module level.  numpy is imported only
-# by theta commands above thetag.SMALL_G.
+# classical, qseries and cycloq alone, cusps, divisor and rank load cusps and cycloq alone, and
+# no command but verify loads verify.  theta and verify still load the whole exact engine,
+# because bench/tracer.py patches the names that thetag and verify import from units and
+# qseries at module level.  numpy is imported only by theta commands above thetag.SMALL_G.
 
 # The lattice sum grows like R^g, so genera above this are refused before any work.
 MAX_THETA_GENUS = 8
@@ -206,23 +206,22 @@ def cmd_cusps(args) -> int:
 
 
 def cmd_divisor(args) -> int:
-    from . import cusps, units
+    from . import cusps
 
-    v = units.FracVector(parse_rational(args.r), parse_rational(args.s))
-    div = cusps.divisor_of_siegel_power(v, args.N)
+    r, s = parse_rational(args.r), parse_rational(args.s)
+    div = cusps.divisor_of_siegel_power((r, s), args.N)
+    orders = [(c, Fraction(m, args.N)) for c, m in zip(cusps.enumerate_cusps(args.N), div.orders)]
     payload = {
         "level": args.N,
-        "index": [str(v.r), str(v.s)],
-        "entries": [
-            {"cusp": {"a": c.a, "c": c.c}, "order": str(m)} for c, m in sorted(div.entries.items())
-        ],
+        "index": [str(r), str(s)],
+        "entries": [{"cusp": {"a": c.a, "c": c.c}, "order": str(m)} for c, m in orders],
         "degree": str(div.degree()),
     }
     if args.format == "json":
         print(json.dumps(payload))
     else:
-        print(f"divisor of g_[{v.r};{v.s}]^(12*{args.N}) on X({args.N}):")
-        for c, m in sorted(div.entries.items()):
+        print(f"divisor of g_[{r};{s}]^(12*{args.N}) on X({args.N}):")
+        for c, m in orders:
             print(f"  {str(c):>10}  {m}")
         print(f"  degree: {div.degree()}")
     return 0
@@ -339,6 +338,11 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in ("--point", "--char"):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    # argparse reads "-1/2" as an option, as it takes only -1 and -0.5 for negative numbers.  Where
+    # the parameters are rationals, a leading space marks such a token as a value (Fraction strips
+    # it), and a "--" has nothing left to protect, so it is dropped.
+    if argv[:1] == ["divisor"] or (argv[:1] == ["expand"] and argv[1:2] in (["siegel"], ["wp"], ["wunit"])):
+        argv = [f" {t}" if t[:1] == "-" and t[1:2].isdigit() and "/" in t else t for t in argv if t != "--"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -12,6 +12,9 @@ A rational multiple lambda*e(t) of a root of unity is recognised by ``unit_angle
 rotates by e(-t) to a rational, so it inverts as e(-t)/lambda; any other value inverts by
 the extended Euclidean algorithm over Fractions.  A rotation by e(t) is a shift of integer
 coordinates in Z[x]/(x^L - 1), reduced mod Phi_L once.
+
+Record and Frozen, the bases of every layer's value types, live here because every layer
+imports this module: the cusp layer takes them without loading the series engine.
 """
 from __future__ import annotations
 
@@ -23,6 +26,52 @@ from math import gcd, isqrt, lcm
 
 
 _ZERO = Fraction(0)
+
+
+class Record:
+    """A base for __slots__ value types, in place of a dataclass: repr lists the slots in order,
+    and two instances are equal when they have the same class and equal slots.  Mutable, so
+    unhashable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+
+class Frozen(Record):
+    """An immutable, hashable Record, in place of a frozen dataclass: __init__ sets the slots in
+    order with _set, and later assignment or deletion raises AttributeError.  Copies and
+    pickles rebuild an instance through its constructor, from the slots in order."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class CyclotomicDivisionError(ZeroDivisionError):

@@ -11,58 +11,13 @@ import cmath
 import math
 from fractions import Fraction
 
-from .cycloq import Cyclotomic, e_of
+# Record and Frozen are re-exported for thetag and verify.
+from .cycloq import Cyclotomic, Frozen, Record, e_of  # noqa: F401
 # Unused here since siegel_function is a closed form, but bench/tracer.py patches product_family in this namespace.
 from .qseries import PuiseuxSeries, product_family  # noqa: F401
 from .classical import pentagonal_terms, theta_classical
 # Unused here since the Klein form is Gauss's product, but bench/tracer.py patches eta in this namespace.
 from .classical import eta  # noqa: F401
-
-
-class Record:
-    """A base for __slots__ value types, in place of a dataclass: repr lists the slots in order,
-    and two instances are equal when they have the same class and equal slots.  Mutable, so
-    unhashable."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    __hash__ = None
-
-
-class Frozen(Record):
-    """An immutable, hashable Record, in place of a frozen dataclass: __init__ sets the slots in
-    order with _set, and later assignment or deletion raises AttributeError.  Copies and
-    pickles rebuild an instance through its constructor, from the slots in order."""
-
-    __slots__ = ()
-
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class FracVector(Frozen):
@@ -72,6 +27,10 @@ class FracVector(Frozen):
 
     def __init__(self, r, s):
         self._set(Fraction(r), Fraction(s))
+
+    def __iter__(self):
+        """Unpacks as r, s, like the pair of rationals that divisor_of_siegel_power also takes."""
+        return iter((self.r, self.s))
 
     def is_integral(self) -> bool:
         return self.r.denominator == 1 and self.s.denominator == 1

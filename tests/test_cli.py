@@ -69,6 +69,12 @@ class TestExpand:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("trunc, checked", [("-3", "4"), ("4", "4"), ("7", "7")])
+    def test_j_coeffs_reports_the_truncation_it_checked(self, capsys, trunc, checked):
+        code, out, _ = run(capsys, "verify", "j-coeffs", f"--trunc={trunc}")
+        assert code == 0
+        assert out.startswith(f"j-coeffs [trunc={checked}]: pass")
+
     def test_jacobi_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "jacobi", "--trunc", "40")
         assert code == 0
@@ -174,6 +180,50 @@ class TestCuspsDivisorRank:
         assert parser.parse_args(["rank", str(MAX_RANK_LEVEL)]).N == MAX_RANK_LEVEL == 18
         assert parser.parse_args(["verify", "rank", "--N", str(MAX_RANK_LEVEL)]).N == MAX_RANK_LEVEL
         assert parser.parse_args(["rank", "2"]).N == 2
+
+
+class TestNegativeRationalParameters:
+    """A negative rational a/b is a parameter of divisor and of expand siegel, wp and wunit."""
+
+    def test_divisor_takes_a_negative_index(self, capsys):
+        code, out, _ = run(capsys, "divisor", "-1/2", "1/2", "4")
+        assert code == 0
+        data = json.loads(out)
+        assert data["index"] == ["-1/2", "1/2"]
+        _, same, _ = run(capsys, "divisor", "1/2", "1/2", "4")  # -1/2 = 1/2 mod Z
+        assert data["entries"] == json.loads(same)["entries"]
+
+    def test_siegel_takes_a_negative_second_coordinate(self, capsys):
+        code, out, _ = run(capsys, "expand", "siegel", "1/2", "-1/3", "--trunc", "2")
+        assert code == 0
+        assert PuiseuxSeries.from_json(out) == units.siegel_function(units.FracVector("1/2", "-1/3"), 2)
+
+    def test_siegel_refuses_a_negative_first_coordinate_by_its_domain(self, capsys):
+        code, out, err = run(capsys, "expand", "siegel", "-1/2", "1/2")
+        assert code == 2
+        assert out == ""
+        assert "0 <= r < 1" in err and "unrecognized" not in err
+
+    def test_double_dash_leaves_later_options_options(self, capsys):
+        code, out, _ = run(capsys, "expand", "siegel", "--", "1/2", "-1/3", "--trunc", "2")
+        assert code == 0
+        assert PuiseuxSeries.from_json(out).trunc == 2
+        assert out == run(capsys, "expand", "siegel", "1/2", "-1/3", "--trunc", "2")[1]
+
+    def test_wp_and_wunit_take_negative_parameters(self, capsys):
+        code, out, _ = run(capsys, "expand", "wp", "-1/3", "0", "--trunc", "3")
+        assert code == 0
+        assert PuiseuxSeries.from_json(out) == units.wp_expansion(units.FracVector("-1/3", 0), 3)
+        wunit = ["-1/5", "2/5", "4/5", "-1/5", "2/5", "1/5", "2/5", "2/5"]
+        code, out, _ = run(capsys, "expand", "wunit", *wunit, "--trunc", "2")
+        assert code == 0
+        vs = [units.FracVector(*wunit[i : i + 2]) for i in range(0, 8, 2)]
+        assert PuiseuxSeries.from_json(out) == units.weierstrass_unit(*vs, 2)
+
+    def test_other_commands_still_read_them_as_options(self, capsys):
+        code, out, err = run(capsys, "expand", "j", "-1/2")
+        assert code == 2
+        assert "unrecognized arguments: -1/2" in err
 
 
 class TestTheta:
@@ -378,6 +428,19 @@ def test_expand_theta_loads_only_its_layers():
         " 'numpy', 'modunits.classical') if m in sys.modules))\n"
     )
     assert out.splitlines()[-1] == "['modunits.classical']"
+
+
+@pytest.mark.parametrize(
+    "argv", [["cusps", "12"], ["divisor", "1/3", "-1/4", "12"], ["rank", "6"]], ids=["cusps", "divisor", "rank"]
+)
+def test_cusp_commands_load_no_series_engine(argv):
+    out = _python(
+        "import sys\n"
+        "from modunits.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, [m for m in ('modunits.qseries', 'modunits.classical', 'modunits.units') if m in sys.modules])\n"
+    )
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_no_submodule_imports_dataclasses_or_inspect():

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from modunits.cusps import (
     Cusp,
+    DivisorVector,
     cusp_count,
     divisor_of_siegel_power,
     enumerate_cusps,
@@ -109,6 +110,39 @@ class TestDivisor:
             divisor_of_siegel_power(FracVector(F(1, 3), 0), 2)
 
 
+class TestDivisorRow:
+    """A divisor is N times its orders in enumeration order; entries is a read-only view of them."""
+
+    def test_entries_follow_the_row_in_enumeration_order(self):
+        div = divisor_of_siegel_power(FracVector(F(1, 6), F(1, 3)), 6)
+        assert list(div.entries) == enumerate_cusps(6)
+        assert list(div.entries.items()) == [(c, F(m, 6)) for c, m in zip(enumerate_cusps(6), div.orders)]
+        assert len(div.entries) == len(div.orders) == cusp_count(6)
+        assert div.degree() == F(sum(div.orders), 6) == 0
+
+    def test_entries_are_looked_up_by_class(self):
+        entries = divisor_of_siegel_power(FracVector(F(1, 2), 0), 2).entries
+        assert entries[Cusp(1, 0, 7)] == -1  # the level is not part of the key, as in Cusp's hash
+        assert Cusp(0, 1, 2) in entries and (0, 1) not in entries and Cusp(1, 3, 5) not in entries
+        with pytest.raises(KeyError):
+            entries[(0, 1)]
+        with pytest.raises(TypeError):
+            entries[Cusp(0, 1, 2)] = 0
+
+    def test_equal_orders_share_one_fraction(self):
+        div = divisor_of_siegel_power(FracVector(F(5, 36), F(7, 36)), 36)
+        assert len({id(m) for m in div.entries.values()}) == len(set(div.orders)) < 36
+
+    def test_any_integer_row_is_a_divisor(self):
+        div = DivisorVector(3, [1, 0, 0, 5])
+        assert div.degree() == 2 and div.entries[Cusp(0, 1, 3)] == F(1, 3) and div.entries[Cusp(1, 2, 3)] == F(5, 3)
+        with pytest.raises(ValueError, match="4 orders, got 3"):
+            DivisorVector(3, [1, 0, 0]).entries
+
+    def test_pair_index_gives_the_same_divisor(self):
+        assert divisor_of_siegel_power((F(1, 4), F(-1, 2)), 4) == divisor_of_siegel_power(FracVector(F(1, 4), F(-1, 2)), 4)
+
+
 def brute_cusps(N):
     """(a, c) mod N with gcd(a, c, N) = 1, each class under +-1 by its smaller pair, sorted."""
     reps = set()
@@ -192,6 +226,15 @@ def gauss_jordan_rank(rows):
     return rank
 
 
+def integer_rows(rows):
+    """Each row times the lcm of its denominators: rational_rank takes integer rows."""
+    scaled = []
+    for row in rows:
+        scale = lcm(*(F(x).denominator for x in row))
+        scaled.append([int(x * scale) for x in row])
+    return scaled
+
+
 fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 
 
@@ -212,23 +255,24 @@ def rational_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices())
 def test_rational_rank_matches_gauss_jordan(rows):
-    before = [row[:] for row in rows]
-    assert rational_rank(rows) == gauss_jordan_rank(rows)
-    assert rows == before
+    scaled = integer_rows(rows)
+    before = [row[:] for row in scaled]
+    assert rational_rank(scaled) == gauss_jordan_rank(rows)
+    assert scaled == before
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(fractions, min_size=4, max_size=4), min_size=1, max_size=9))
 def test_rational_rank_matches_gauss_jordan_on_random_rows(rows):
-    assert rational_rank(rows) == gauss_jordan_rank(rows)
+    assert rational_rank(integer_rows(rows)) == gauss_jordan_rank(rows)
 
 
 def test_rational_rank_edge_shapes():
     assert rational_rank([]) == 0
     assert rational_rank([[], []]) == 0
     assert rational_rank([[0, 0], [0, 0]]) == 0
-    assert rational_rank([[0, F(1, 3)], [0, F(2, 3)], [0, 5]]) == 1
-    assert rational_rank([[2, 3], [4, 6], [1, 1], [F(1, 2), F(1, 2)]]) == 2
+    assert rational_rank(integer_rows([[0, F(1, 3)], [0, F(2, 3)], [0, 5]])) == 1
+    assert rational_rank(integer_rows([[2, 3], [4, 6], [1, 1], [F(1, 2), F(1, 2)]])) == 2
 
 
 def test_rational_rank_on_known_matrix():
@@ -237,7 +281,7 @@ def test_rational_rank_on_known_matrix():
         [F(2), F(4), F(6)],
         [F(0), F(1), F(1)],
     ]
-    assert rational_rank(rows) == 2
+    assert rational_rank(integer_rows(rows)) == 2
 
 
 @pytest.mark.parametrize("N,rank", [(2, 2), (3, 3), (4, 5), (5, 11), (6, 11)])

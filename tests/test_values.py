@@ -30,8 +30,7 @@ FROZEN = [
         (Cusp(0, 1, 2), "Cusp(a=0, c=1, level=2)"),
         (
             divisor_of_siegel_power(FracVector(F(1, 2), 0), 2),
-            "DivisorVector(level=2, entries={Cusp(a=0, c=1, level=2): Fraction(2, 1), "
-            "Cusp(a=1, c=0, level=2): Fraction(-1, 1), Cusp(a=1, c=1, level=2): Fraction(-1, 1)})",
+            "DivisorVector(level=2, orders=(4, -2, -2))",
         ),
         (
             VerifyReport("jacobi", "trunc=3", True),
@@ -112,8 +111,8 @@ def test_mutable_types_compare_by_fields_and_do_not_hash():
     report.wall_ms = 2.0  # the timer sets it after the check
     assert report != VerifyReport("jacobi", "trunc=3", True)
     div = divisor_of_siegel_power(FracVector(F(1, 2), 0), 2)
-    assert div == DivisorVector(2, dict(div.entries))
-    assert div != DivisorVector(4, dict(div.entries))
+    assert div == DivisorVector(2, [4, -2, -2])
+    assert div != DivisorVector(4, div.orders)
     for value in (report, div):
         with pytest.raises(TypeError):
             hash(value)
