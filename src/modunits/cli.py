@@ -49,7 +49,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed rational {text!r}: {exc}") from exc
+        raise UsageError(f"malformed rational {text.strip()!r}: {exc}") from exc
 
 
 def parse_complex(text: str) -> complex:
@@ -80,9 +80,9 @@ def in_range(low, high, kind=int):
         try:
             x = kind(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise argparse.ArgumentTypeError(f"malformed value {text!r}") from exc
+            raise argparse.ArgumentTypeError(f"malformed value {text.strip()!r}") from exc
         if not low <= x <= high:
-            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {text.strip()!r}")
         return x
 
     return parse
@@ -210,7 +210,7 @@ def cmd_divisor(args) -> int:
 
     r, s = parse_rational(args.r), parse_rational(args.s)
     div = cusps.divisor_of_siegel_power((r, s), args.N)
-    orders = [(c, Fraction(m, args.N)) for c, m in zip(cusps.enumerate_cusps(args.N), div.orders)]
+    orders = div.entries.items()  # the cusps in enumeration order, zipped with their orders
     payload = {
         "level": args.N,
         "index": [str(r), str(s)],

@@ -220,6 +220,20 @@ class TestNegativeRationalParameters:
         vs = [units.FracVector(*wunit[i : i + 2]) for i in range(0, 8, 2)]
         assert PuiseuxSeries.from_json(out) == units.weierstrass_unit(*vs, 2)
 
+    @pytest.mark.parametrize(
+        "argv, quoted",
+        [
+            (["expand", "siegel", "1/2", "1/3", "--trunc", "-2001/2"], "got '-2001/2'"),
+            (["expand", "wp", "-1/0", "1/3"], "malformed value '-1/0'"),
+            (["divisor", "-1/0", "1/2", "4"], "malformed rational '-1/0'"),
+        ],
+    )
+    def test_refusals_quote_the_token_as_given(self, capsys, argv, quoted):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert quoted in err
+
     def test_other_commands_still_read_them_as_options(self, capsys):
         code, out, err = run(capsys, "expand", "j", "-1/2")
         assert code == 2
