@@ -211,13 +211,9 @@ def cmd_divisor(args) -> int:
     r, s = parse_rational(args.r), parse_rational(args.s)
     div = cusps.divisor_of_siegel_power((r, s), args.N)
     orders = div.entries.items()  # the cusps in enumeration order, zipped with their orders
-    payload = {
-        "level": args.N,
-        "index": [str(r), str(s)],
-        "entries": [{"cusp": {"a": c.a, "c": c.c}, "order": str(m)} for c, m in orders],
-        "degree": str(div.degree()),
-    }
     if args.format == "json":
+        entries = [{"cusp": {"a": c.a, "c": c.c}, "order": str(m)} for c, m in orders]
+        payload = {"level": args.N, "index": [str(r), str(s)], "entries": entries, "degree": str(div.degree())}
         print(json.dumps(payload))
     else:
         print(f"divisor of g_[{r};{s}]^(12*{args.N}) on X({args.N}):")
@@ -341,7 +337,7 @@ def main(argv=None) -> int:
     # argparse reads "-1/2" as an option, as it takes only -1 and -0.5 for negative numbers.  Where
     # the parameters are rationals, a leading space marks such a token as a value (Fraction strips
     # it), and a "--" has nothing left to protect, so it is dropped.
-    if argv[:1] == ["divisor"] or (argv[:1] == ["expand"] and argv[1:2] in (["siegel"], ["wp"], ["wunit"])):
+    if argv[:1] == ["divisor"] or (argv[:1] == ["expand"] and not {"siegel", "wp", "wunit"}.isdisjoint(argv)):
         argv = [f" {t}" if t[:1] == "-" and t[1:2].isdigit() and "/" in t else t for t in argv if t != "--"]
     try:
         args = parser.parse_args(argv)

@@ -204,8 +204,13 @@ class TestNegativeRationalParameters:
         assert out == ""
         assert "0 <= r < 1" in err and "unrecognized" not in err
 
-    def test_double_dash_leaves_later_options_options(self, capsys):
-        code, out, _ = run(capsys, "expand", "siegel", "--", "1/2", "-1/3", "--trunc", "2")
+    @pytest.mark.parametrize(
+        "argv",
+        [["expand", "siegel", "--", "1/2", "-1/3", "--trunc", "2"], ["expand", "--trunc", "2", "siegel", "1/2", "-1/3"]],
+        ids=["double-dash", "options-first"],
+    )
+    def test_same_series_whatever_the_token_order(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert PuiseuxSeries.from_json(out).trunc == 2
         assert out == run(capsys, "expand", "siegel", "1/2", "-1/3", "--trunc", "2")[1]
