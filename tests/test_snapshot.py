@@ -15,7 +15,7 @@ from pathlib import Path
 
 from modunits.classical import eta, j_function, theta_classical
 from modunits.units import (
-    FracVector, g14, h1N, hN, klein_form_0_half, siegel_function, weierstrass_unit, wp_expansion,
+    FracVector, bernoulli2, g14, h1N, hN, klein_form_0_half, siegel_function, weierstrass_unit, wp_expansion,
 )
 
 SNAPSHOT = Path(__file__).with_name("snapshot_sha256.json")
@@ -77,6 +77,20 @@ def cases():
     for n, t in ((3, 9), (8, F(15, 2)), (12, 6)):
         out.append((f"h1N({n})@{t}", lambda n=n, t=t: h1N(n, t)))
         out.append((f"hN({n})@{t}", lambda n=n, t=t: hN(n, t)))
+    # Bare Siegel functions, from a generator of their own so the cases above keep their draws.  At
+    # B2(r)/2 + 1/100 only the leading term is below trunc, which pins the lattice the series is
+    # stored on; the other trunc, with a factor 13 in its denominator, is off every lattice.
+    rng = random.Random(20128)
+    for _ in range(12):
+        n = rng.randrange(2, 13)
+        v = _pair(rng, n)
+        lead = bernoulli2(v.r) / 2
+        for t in (lead + F(1, 100), lead + rng.randrange(1, 4) + F(1, 13)):
+            out.append((f"siegel[{v.r},{v.s}]@{t}", lambda v=v, t=t: siegel_function(v, t)))
+    out.append(("theta2@1/8", lambda: theta_classical(2, F(1, 8))))  # no term below trunc
+    for t in (F(17, 5), F(43, 6)):
+        for which in (2, 3, 4):
+            out.append((f"theta{which}@{t}", lambda w=which, t=t: theta_classical(w, t)))
     return out
 
 
