@@ -7,7 +7,7 @@
 _MODULE_OF = {
     "Cyclotomic": "cycloq", "e_of": "cycloq",
     "PuiseuxSeries": "qseries", "product_family": "qseries",
-    "eta": "classical", "theta_classical": "classical", "eisenstein": "classical",
+    "eta": "classical", "theta_char": "classical", "theta_classical": "classical", "eisenstein": "classical",
     "discriminant": "classical", "j_function": "classical",
     "FracVector": "units", "GammaMatrix": "units", "bernoulli2": "units", "siegel_function": "units",
     "siegel_power_ord": "units", "transform_vector": "units", "klein_form_0_half": "units",

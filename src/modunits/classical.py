@@ -1,5 +1,8 @@
 """q-expansions of the classical modular objects: eta, theta, g2/g3, Delta, j.
 
+One loop, ``_theta_sum``, builds every exact theta series: theta[a; b], theta2-theta4 and,
+over eta, the Siegel functions of ``units``.
+
 The Eisenstein lattice sums are not summed directly; the standard divisor-sum
 q-expansions are used, with every normalization pinned by the Delta = eta^24
 and j-coefficient checks in the test suite.
@@ -9,55 +12,62 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Unused here since eta is a closed form, but bench/tracer.py patches product_family in this namespace.
-from .qseries import PuiseuxSeries, product_family  # noqa: F401
-
-
-def pentagonal_terms(trunc) -> dict[int, Fraction]:
-    """prod_{n>=1} (1 - q^n) below q^trunc on denom 1, exponent -> coefficient, by Euler's pentagonal theorem.
-
-    It is sum_k (-1)^k q^(k(3k-1)/2), and the exponents increase along k = 0, 1, -1, 2, -2, ...
-    """
-    bound = math.ceil(trunc)  # the exponents are integers
-    terms = {}
-    k = 0
-    while (e := k * (3 * k - 1) // 2) < bound:
-        terms[e] = Fraction(-1 if k % 2 else 1)
-        k = -k if k > 0 else 1 - k
-    return terms
+# product_family is unused here since eta is a closed form, but bench/tracer.py patches it in this namespace.
+from .qseries import Cyclotomic, PuiseuxSeries, product_family  # noqa: F401
 
 
 def eta(trunc) -> PuiseuxSeries:
-    """Dedekind eta, q^(1/24) * prod_{n>=1} (1 - q^n), as the shifted pentagonal series.
+    """Dedekind eta, q^(1/24) * prod_{n>=1} (1 - q^n), by Euler's pentagonal theorem.
 
-    The pentagonal exponent k(3k-1)/2 becomes (6k-1)^2/24 = k(3k-1)/2 + 1/24.
+    The product is sum_k (-1)^k q^(k(3k-1)/2), and q^(1/24) moves the exponent of k to
+    (6k-1)^2/24, which increases along k = 0, 1, -1, 2, -2, ...
     """
     trunc = Fraction(trunc)
     if trunc <= Fraction(1, 24):
         raise ValueError("trunc must exceed 1/24")
-    terms = pentagonal_terms(trunc - Fraction(1, 24))
-    return PuiseuxSeries(24, {24 * k + 1: c for k, c in terms.items()}, trunc)
+    limit = -(-24 * trunc.numerator // trunc.denominator)  # key j stands for q^(j/24), and j < limit
+    terms = {}
+    k = 0
+    while (j := (6 * k - 1) ** 2) < limit:
+        terms[j] = -1 if k % 2 else 1
+        k = -k if k > 0 else 1 - k
+    return PuiseuxSeries(24, terms, trunc)
+
+
+def _theta_sum(a, b, trunc: Fraction) -> PuiseuxSeries:
+    """e(-ab) * theta[a; b] = sum_n e(nb) q^((n+a)^2/2) below q^trunc, on the lattice q^(1/(2A^2)).
+
+    With a = p/A the key of n is (nA + p)^2, which rises on each side of the n nearest -a; the
+    coefficient of a key, a sum of e(nb) = zeta_S^(nm) for b = m/S, is one row of S integers.
+    """
+    (p, A), (m, S) = a.as_integer_ratio(), b.as_integer_ratio()
+    limit = -(-2 * A * A * trunc.numerator // trunc.denominator)  # key j stands for q^(j/(2A^2)), j < limit
+    rows: dict[int, list[int]] = {}
+    nearest = -((2 * p + A) // (2 * A))  # -floor(a + 1/2)
+    for n, step in ((nearest, 1), (nearest - 1, -1)):
+        while (j := (n * A + p) ** 2) < limit:
+            rows.setdefault(j, [0] * S)[n * m % S] += 1
+            n += step
+    # As zeta_1 = 1 and zeta_2 = -1, a row with S <= 2 is the integer row[0] - row[1].
+    terms = {j: Cyclotomic(S, row) if S > 2 else row[0] - sum(row[1:]) for j, row in rows.items()}
+    return PuiseuxSeries(2 * A * A, terms, trunc)
+
+
+def theta_char(a, b, trunc) -> PuiseuxSeries:
+    """theta[a; b] = sum_n e((n+a)^2 tau/2 + (n+a)b), a and b rational, on the lattice q^(1/(2 den(a)^2))."""
+    a, b = Fraction(a), Fraction(b)
+    return _theta_sum(a, b, Fraction(trunc)).rotated(a * b)
 
 
 def theta_classical(which: int, trunc) -> PuiseuxSeries:
     """Jacobi theta constants as series in q = e^(2 pi i tau).
 
-    theta2 = sum q^((n+1/2)^2/2), theta3 = sum q^(n^2/2),
-    theta4 = sum (-1)^n q^(n^2/2).
+    theta2 = theta[1/2; 0] = sum q^((n+1/2)^2/2), theta3 = theta[0; 0] = sum q^(n^2/2),
+    theta4 = theta[0; 1/2] = sum (-1)^n q^(n^2/2).
     """
     if which not in (2, 3, 4):
         raise ValueError(f"theta index must be 2, 3 or 4, got {which}")
-    trunc = Fraction(trunc)
-    # The exponent of n is (2n + a)^2/8, on the lattice (1/denom)Z; n and -n - a give the same
-    # exponent, so n >= 0 covers every term, and counts twice except where 2n + a = 0.
-    a, denom = (1, 8) if which == 2 else (0, 2)
-    terms: dict[int, Fraction] = {}
-    n = 0
-    while Fraction((2 * n + a) ** 2, 8) < trunc:
-        coeff = 1 if 2 * n + a == 0 else 2
-        terms[(2 * n + a) ** 2 * denom // 8] = Fraction(-coeff if which == 4 and n % 2 else coeff)
-        n += 1
-    return PuiseuxSeries(denom, terms, trunc)
+    return theta_char(Fraction(1, 2) if which == 2 else 0, Fraction(1, 2) if which == 4 else 0, trunc)
 
 
 # name -> (weight, constant, scale): the series is scale * (1 + constant * sum sigma_(weight-1)(n) q^n).

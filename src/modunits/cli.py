@@ -158,6 +158,8 @@ def cmd_expand(args) -> int:
         series = (units.h1N if name == "h1N" else units.hN)(int(N), trunc)
     else:
         raise UsageError(f"unknown expansion name {name!r}")
+    if series.is_zero():  # a truncation at or below the leading exponent, as verify refuses it
+        raise ValueError(f"no coefficient below trunc={series.trunc}")
     print(format_series(series, args.format))
     return 0
 

@@ -1,9 +1,9 @@
 """Siegel functions, the Klein form, Weierstrass p-values and Weierstrass units.
 
 Index vectors (r, s) are rational pairs outside Z^2.  A Siegel function is
-expanded by the Jacobi triple product with 0 <= r < 1; callers transporting
-indices by an SL2(Z) matrix must normalize the first coordinate themselves (the
-12N-th power is insensitive to the choice, the bare function is not).
+theta[r - 1/2; s + 1/2]/eta times a root of unity, with 0 <= r < 1; callers
+transporting indices by an SL2(Z) matrix must normalize the first coordinate
+themselves (the 12N-th power is insensitive to the choice, the bare one is not).
 """
 from __future__ import annotations
 
@@ -15,9 +15,7 @@ from fractions import Fraction
 from .cycloq import Cyclotomic, Frozen, Record, e_of  # noqa: F401
 # Unused here since siegel_function is a closed form, but bench/tracer.py patches product_family in this namespace.
 from .qseries import PuiseuxSeries, product_family  # noqa: F401
-from .classical import pentagonal_terms, theta_classical
-# Unused here since the Klein form is Gauss's product, but bench/tracer.py patches eta in this namespace.
-from .classical import eta  # noqa: F401
+from .classical import _theta_sum, eta, theta_classical
 
 
 class FracVector(Frozen):
@@ -77,12 +75,8 @@ def transform_vector(g: GammaMatrix, v: FracVector) -> FracVector:
 
 
 def siegel_function(v: FracVector, trunc) -> PuiseuxSeries:
-    """Exact q-expansion of the Siegel function indexed by (r, s), 0 <= r < 1, by the triple product.
-
-    With w = q^r e(s), (1 - w) prod_{n>=1} (1 - q^n w)(1 - q^n / w) is, by Jacobi's triple
-    product, sum_k (-1)^k e(ks) q^(k(k-1)/2 + kr) / prod_{n>=1} (1 - q^n), and g is
-    -e(s(r-1)/2) q^(B2(r)/2) times it; the leading exponent is B2(r)/2.
-    """
+    """Exact q-expansion of the Siegel function indexed by (r, s), 0 <= r < 1, by Jacobi's triple
+    product e(3/4 - r(s+1)/2) * theta[r - 1/2; s + 1/2] / eta, with leading exponent B2(r)/2."""
     if v.is_integral():
         raise ValueError("index vector must lie outside Z^2")
     r, s = v.r, v.s
@@ -90,23 +84,15 @@ def siegel_function(v: FracVector, trunc) -> PuiseuxSeries:
         raise ValueError(f"first coordinate must satisfy 0 <= r < 1, got {r}")
     trunc = Fraction(trunc)
     lead = bernoulli2(r) / 2
-    rel = trunc - lead
-    if rel <= 0:
+    if trunc <= lead:
         raise ValueError("trunc must exceed the leading exponent")
-    D, a = r.denominator, r.numerator
-    S, b = s.denominator, s.numerator
-    # k(k-1)/2 + kr >= |k|(|k|-1)/2 as 0 <= r < 1, so only |k| < K can fall below rel.
-    K = math.isqrt(2 * math.ceil(rel)) + 2
-    terms: dict[int, Cyclotomic] = {}  # key j stands for q^(j/D)
-    for k in range(1 - K, K):
-        j = D * k * (k - 1) // 2 + a * k
-        if j < rel * D:
-            # (-1)^k e(ks) = (-1)^k zeta_S^(bk), stored at its conductor, which divides S
-            c = Cyclotomic(S, [0] * (b * k % S) + [-1 if k % 2 else 1])
-            terms[j] = terms[j] + c if j in terms else c
-    quotient = PuiseuxSeries(D, terms, rel) * PuiseuxSeries(1, pentagonal_terms(rel), rel).inverse()
-    # -e(s(r-1)/2) = e(s(r-1)/2 + 1/2) is a rotation, so the product with q^lead stays in Q(zeta_S).
-    return (PuiseuxSeries.monomial(1, lead, trunc) * quotient).rotated(s * (r - 1) / 2 + Fraction(1, 2))
+    a, b = r - Fraction(1, 2), s + Fraction(1, 2)
+    # The theta sum starts at q^(a^2/2), eta's inverse at q^(-1/24): the quotient is known below trunc.
+    # The whole phase, e(ab) included, is one rotation after the product, which runs over Q(zeta_den(b)).
+    quotient = _theta_sum(a, b, trunc + Fraction(1, 24)) * eta(trunc + Fraction(1, 12) - a * a / 2).inverse()
+    t = Fraction(3, 4) - r * (s + 1) / 2 + a * b
+    d = math.lcm(lead.denominator, r.denominator)  # the lattice of B2(r)/2 + (1/den(r))Z
+    return PuiseuxSeries(d, {k * d // quotient.denom: c.rotated(t) for k, c in quotient.terms.items()}, trunc)
 
 
 def siegel_power_ord(v: FracVector, N: int) -> Fraction:

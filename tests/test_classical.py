@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modunits.classical import discriminant, eisenstein, eta, j_function, theta_classical
+from modunits.classical import discriminant, eisenstein, eta, j_function, theta_char, theta_classical
+from modunits.cycloq import Cyclotomic, e_of
 from modunits.qseries import PuiseuxSeries, product_family
 from modunits.verify import verify_delta_eta, verify_jacobi
 
@@ -63,6 +64,28 @@ class TestTheta:
         for which in (2, 3, 4):
             series = theta_classical(which, 12)
             assert all(series.coefficient(e).is_rational() for e in series.exponents())
+
+
+# Characteristics a, b with denominators up to 12 and |a|, |b| <= 1.
+rationals = st.integers(1, 12).flatmap(lambda d: st.integers(-d, d).map(lambda n: F(n, d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, rationals, st.integers(-4, 300), st.booleans())
+def test_theta_char_matches_a_term_by_term_sum(a, b, k, on_lattice):
+    # theta[a; b] = sum_n e((n+a)b) q^((n+a)^2/2), each term added alone in Cyclotomic; the trunc is
+    # k/(2 den(a)^2), on the lattice, or just past it.
+    denom = 2 * a.denominator**2
+    trunc = F(k, denom) if on_lattice else F(k, denom) + F(1, 13 * denom)
+    terms = {}
+    for n in range(-30, 31):  # (n+a)^2/2 >= 420 past these, and trunc is at most 150
+        x = n + a
+        if x * x / 2 < trunc:
+            key = x * x / 2 * denom
+            terms[key] = terms.get(key, Cyclotomic.zero()) + e_of(x * b)
+    got = theta_char(a, b, trunc)
+    assert got.denom == denom
+    assert got == PuiseuxSeries(denom, {int(key): c for key, c in terms.items()}, trunc)
 
 
 class TestEisenstein:
@@ -181,11 +204,24 @@ def test_eta_matches_mpmath_qp(tau):
     assert close(eta(30).evaluate(tau), expected)
 
 
-@settings(max_examples=25, deadline=None)
-@given(taus, st.sampled_from([2, 3, 4]))
-def test_theta_matches_mpmath_jtheta(tau, which):
+# theta2-4 with their characteristics, or a drawn characteristic.
+thetas = st.one_of(
+    st.sampled_from([(2, F(1, 2), 0), (3, 0, 0), (4, 0, F(1, 2))]), st.tuples(st.none(), rationals, rationals)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(taus, thetas)
+def test_theta_matches_mpmath_jtheta(tau, theta):
+    which, a, b = theta
     nome = mpmath.exp(1j * mpmath.pi * tau)  # theta_n(tau) = jtheta(n, 0, e^(i pi tau))
-    assert close(theta_classical(which, 30).evaluate(tau), mpmath.jtheta(which, 0, nome))
+    got = (theta_classical(which, 30) if which else theta_char(a, b, 30)).evaluate(tau)
+    if which:
+        assert close(got, mpmath.jtheta(which, 0, nome))
+    # theta[a; b](tau) = e(a^2 tau/2 + ab) * jtheta(3, pi(a tau + b), e^(i pi tau))
+    a, b = (mpmath.mpf(x.numerator) / x.denominator for x in (F(a), F(b)))
+    phase = mpmath.exp(2j * mpmath.pi * (a * a * tau / 2 + a * b))
+    assert close(got, phase * mpmath.jtheta(3, mpmath.pi * (a * tau + b), nome))
 
 
 @settings(max_examples=25, deadline=None)

@@ -68,6 +68,20 @@ class TestExpand:
         assert code == 2
 
 
+    # A truncation at or below the leading exponent leaves no term to print.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "theta2 --trunc 1/8", "theta3 --trunc 0", "theta4 --trunc -1", "g2 --trunc 0", "delta --trunc 1",
+            "g14 --trunc -1", "wp 1/3 0 --trunc -2", "h1N 5 --trunc -1",
+        ],
+    )
+    def test_empty_series_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "expand", *argv.split())
+        assert (code, out) == (2, "")
+        assert f"no coefficient below trunc={argv.split()[-1]}" in err
+
+
 class TestVerify:
     @pytest.mark.parametrize("trunc, checked", [("-3", "4"), ("4", "4"), ("7", "7")])
     def test_j_coeffs_reports_the_truncation_it_checked(self, capsys, trunc, checked):
@@ -483,7 +497,7 @@ def test_every_public_name_resolves_to_its_home_module():
         "from modunits import *\n"
         "print(Cusp.__module__, theta_constant.__module__, product_family.__module__, e_of.__module__)\n"
     )
-    assert out.splitlines() == ["33 33", "modunits.cusps modunits.thetag modunits.qseries modunits.cycloq"]
+    assert out.splitlines() == ["34 34", "modunits.cusps modunits.thetag modunits.qseries modunits.cycloq"]
 
 
 def test_unknown_package_attribute_raises():

@@ -103,6 +103,8 @@ class TestSiegelFunction:
 
         monkeypatch.setattr(qseries, "_kron_mul", spy)
         g = siegel_function(FracVector(F(1, 12), F(5, 12)), 2)
+        # The build, too, multiplies theta[r - 1/2; s + 1/2] by 1/eta before it rotates by its phase.
+        assert fields and all(12 % M == 0 for M in fields), sorted(set(fields))
         assert max(c.order for c in g.terms.values()) == 288
         for n in (144, -144):
             fields.clear()
