@@ -91,6 +91,8 @@ def cases():
     for t in (F(17, 5), F(43, 6)):
         for which in (2, 3, 4):
             out.append((f"theta{which}@{t}", lambda w=which, t=t: theta_classical(w, t)))
+    for t in (200, 1000):  # j deep into its coefficients, up to the CLI's trunc cap
+        out.append((f"j@{t}", lambda t=t: j_function(t)))
     return out
 
 
