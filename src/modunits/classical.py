@@ -4,12 +4,17 @@ One loop, ``_theta_sum``, builds every exact theta series: theta[a; b], theta2-t
 over eta, the Siegel functions of ``units``.
 
 The Eisenstein lattice sums are not summed directly; the standard divisor-sum
-q-expansions are used, with every normalization pinned by the Delta = eta^24
-and j-coefficient checks in the test suite.
+q-expansions are used, from one integer sieve (``_sigma_row``), with every
+normalization pinned by the Delta = eta^24 and j-coefficient checks in the test
+suite.  Delta stays g2^3 - 27*g3^2, so that ``verify delta-eta`` compares two
+independent constructions.  j is q^-1 * E4^3 * prod (1 - q^n)^-24 over the
+integers: E4 from the same sieve, the product from the recurrence of its
+logarithmic derivative (``_euler_power``), with no series inverse.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 # product_family is unused here since eta is a closed form, but bench/tracer.py patches it in this namespace.
@@ -70,6 +75,32 @@ def theta_classical(which: int, trunc) -> PuiseuxSeries:
     return theta_char(Fraction(1, 2) if which == 2 else 0, Fraction(1, 2) if which == 4 else 0, trunc)
 
 
+def _sigma_row(weight: int, constant: int, n_max: int) -> list[int]:
+    """[1, c*sigma(1), ..., c*sigma(n_max)], the coefficients of 1 + c * sum sigma_(weight-1)(n) q^n, sieved."""
+    row = [1] + [0] * n_max
+    for d in range(1, n_max + 1):
+        term = constant * d ** (weight - 1)
+        for n in range(d, n_max + 1, d):
+            row[n] += term
+    return row
+
+
+def _euler_power(r: int, n_max: int) -> dict[int, int]:
+    """The integer coefficients of prod_{n>=1} (1 - q^n)^r through q^n_max.
+
+    The logarithmic derivative gives n*a_n = sum_{k=1..n} b_k a_(n-k) with b_k = -r*sigma(k); the
+    division by n is exact by theorem, and checked.
+    """
+    b = _sigma_row(2, -r, n_max)[1:]
+    a = [1]
+    for n in range(1, n_max + 1):
+        a_n, rest = divmod(sum(map(operator.mul, b, reversed(a))), n)
+        if rest:
+            raise ArithmeticError(f"inexact division by {n} in the power {r} of the Euler product")
+        a.append(a_n)
+    return dict(enumerate(a))
+
+
 # name -> (weight, constant, scale): the series is scale * (1 + constant * sum sigma_(weight-1)(n) q^n).
 _EISENSTEIN = {"g2": (4, 240, Fraction(1, 12)), "g3": (6, -504, Fraction(-1, 216))}
 
@@ -80,30 +111,30 @@ def eisenstein(which: str, trunc) -> PuiseuxSeries:
         raise ValueError(f"unknown Eisenstein name {which!r}")
     weight, constant, scale = _EISENSTEIN[which]
     trunc = Fraction(trunc)
-    n_max = math.ceil(trunc) - 1
-    sigma = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        power = d ** (weight - 1)
-        for n in range(d, n_max + 1, d):
-            sigma[n] += power
-    terms = {0: Fraction(1)} | {n: Fraction(constant * sigma[n]) for n in range(1, n_max + 1)}
-    return PuiseuxSeries(1, terms, trunc, two_pi_i_power=weight).scaled(scale)
-
-
-def _g2_cube_and_discriminant(trunc: Fraction) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    """g2^3 and Delta = g2^3 - 27*g3^2, from one g2 and one cube."""
-    g2_cube = eisenstein("g2", trunc) ** 3
-    g3 = eisenstein("g3", trunc)
-    return g2_cube, (g2_cube - (g3**2).scaled(27)).truncated_to(trunc)
+    row = _sigma_row(weight, constant, math.ceil(trunc) - 1)
+    return PuiseuxSeries(1, dict(enumerate(row)), trunc, two_pi_i_power=weight).scaled(scale)
 
 
 def discriminant(trunc) -> PuiseuxSeries:
-    """Delta = g2^3 - 27*g3^2, a (2 pi i)^12-tagged series with leading term q."""
-    return _g2_cube_and_discriminant(Fraction(trunc))[1]
+    """Delta = g2^3 - 27*g3^2, a (2 pi i)^12-tagged series with leading term q.
+
+    The Eisenstein form is kept, not eta^24, so that ``verify delta-eta`` compares two independent
+    constructions.  Below trunc 0 the series is built at 0, where it is known to be empty.
+    """
+    trunc = Fraction(trunc)
+    t = max(trunc, 0)
+    delta = eisenstein("g2", t) ** 3 - (eisenstein("g3", t) ** 2).scaled(27)
+    return delta.truncated_to(trunc)
 
 
 def j_function(trunc) -> PuiseuxSeries:
-    """The elliptic modular function, computed as 1728 * g2^3 / Delta."""
+    """The elliptic modular function j = q^-1 * E4^3 * prod_{n>=1} (1 - q^n)^-24, over the integers.
+
+    E4 = 1 + 240 * sum sigma_3(n) q^n is one sieve, the product one recurrence (``_euler_power``); the
+    coefficient of q^k in j is that of q^(k+1) in their product, so both run through q^ceil(trunc).
+    """
     trunc = Fraction(trunc)
-    g2_cube, delta = _g2_cube_and_discriminant(trunc + 2)
-    return (g2_cube.scaled(1728) * delta.inverse()).truncated_to(trunc)
+    n_max = max(0, math.ceil(trunc))
+    e4 = PuiseuxSeries(1, dict(enumerate(_sigma_row(4, 240, n_max))), n_max + 1)
+    product = e4**3 * PuiseuxSeries(1, _euler_power(-24, n_max), n_max + 1)
+    return PuiseuxSeries(1, {k - 1: c for k, c in product.terms.items()}, trunc)

@@ -332,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Bind "--point VALUE" as "--point=VALUE", so values like -0.3+1i or -1/2:0 are not read as options.
+    # Bind "--point VALUE" as "--point=VALUE", so values like -0.3+1i, -1/2:0 or -3/2 are not read as options.
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--point", "--char"):
+        if argv[i - 1] in ("--point", "--char", "--trunc"):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     # argparse reads "-1/2" as an option, as it takes only -1 and -0.5 for negative numbers.  Where
     # the parameters are rationals, a leading space marks such a token as a value (Fraction strips

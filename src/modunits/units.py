@@ -106,6 +106,8 @@ def klein_form_0_half(trunc) -> PuiseuxSeries:
     By Gauss, g_(0,1/2) / eta^2 = 2i * prod_{n>=1} ((1 + q^n) / (1 - q^n))^2 = 2i / theta4(2 tau)^2.
     """
     theta = theta_classical(4, Fraction(trunc) / 2).substitute_q_power(2)
+    if theta.is_zero():  # trunc <= 0: theta4(2 tau) = 1 + ..., so the Klein form has no term either
+        return PuiseuxSeries.zero(trunc, -1)
     return (theta ** -2).scaled(2 * e_of(Fraction(1, 4))).with_two_pi_i_power(-1)
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modunits.classical import discriminant, eisenstein, eta, j_function, theta_char, theta_classical
+from modunits.classical import (
+    _euler_power, discriminant, eisenstein, eta, j_function, theta_char, theta_classical,
+)
 from modunits.cycloq import Cyclotomic, e_of
 from modunits.qseries import PuiseuxSeries, product_family
 from modunits.verify import verify_delta_eta, verify_jacobi
@@ -152,6 +154,37 @@ class TestJ:
         j = j_function(trunc)
         assert j.trunc == trunc
         assert j == j_function(8).truncated_to(trunc)
+
+
+    @pytest.mark.parametrize("trunc", [-1, F(-3, 2), -5])
+    def test_empty_below_its_leading_term(self, trunc):
+        j = j_function(trunc)
+        assert (j.is_zero(), j.trunc) == (True, trunc)
+
+    @pytest.mark.parametrize("trunc", [F(-1, 2), 0, F(1, 7), F(59, 7), F(109, 5), 82, 200])
+    def test_matches_the_newton_inverse_of_delta(self, trunc):
+        # The generic route: 1728 * g2^3 / Delta, with Delta inverted by Newton's iteration.
+        g2 = eisenstein("g2", trunc + 2)
+        oracle = ((g2**3).scaled(1728) * discriminant(trunc + 2).inverse()).truncated_to(trunc)
+        assert j_function(trunc).to_json() == oracle.to_json()
+
+
+def pentagonal(n_max) -> PuiseuxSeries:
+    """prod_{n>=1} (1 - q^n) through q^n_max, as Euler's sum_k (-1)^k q^(k(3k-1)/2)."""
+    terms = {k * (3 * k - 1) // 2: (-1) ** k for k in range(-n_max - 1, n_max + 2)}
+    return PuiseuxSeries(1, terms, n_max + 1)
+
+
+class TestEulerPower:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-30, 30), st.integers(0, 60))
+    def test_matches_the_pentagonal_power(self, r, n_max):
+        assert PuiseuxSeries(1, _euler_power(r, n_max), n_max + 1) == pentagonal(n_max) ** r
+
+    def test_partition_numbers(self):
+        p = _euler_power(-1, 100)
+        assert [p[n] for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+        assert p[100] == 190569292
 
 
 class TestThetaIdentities:

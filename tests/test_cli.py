@@ -73,13 +73,21 @@ class TestExpand:
         "argv",
         [
             "theta2 --trunc 1/8", "theta3 --trunc 0", "theta4 --trunc -1", "g2 --trunc 0", "delta --trunc 1",
-            "g14 --trunc -1", "wp 1/3 0 --trunc -2", "h1N 5 --trunc -1",
+            "g14 --trunc -1", "wp 1/3 0 --trunc -2", "h1N 5 --trunc -1", "j --trunc -1", "j --trunc -5",
+            "klein --trunc 0", "delta --trunc -1",
         ],
     )
     def test_empty_series_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "expand", *argv.split())
         assert (code, out) == (2, "")
         assert f"no coefficient below trunc={argv.split()[-1]}" in err
+
+    def test_negative_rational_trunc(self, capsys):
+        # argparse takes "-1/2" for an option unless it is bound to --trunc.
+        code, out, _ = run(capsys, "expand", "j", "--trunc", "-1/2")
+        assert code == 0
+        series = PuiseuxSeries.from_json(out)
+        assert (series.trunc, series.exponents()) == (Fraction(-1, 2), [-1])
 
 
 class TestVerify:
@@ -88,6 +96,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "j-coeffs", f"--trunc={trunc}")
         assert code == 0
         assert out.startswith(f"j-coeffs [trunc={checked}]: pass")
+
+    def test_negative_rational_trunc_reaches_the_check(self, capsys):
+        code, out, err = run(capsys, "verify", "jacobi", "--trunc", "-3/2")
+        assert (code, out) == (2, "")
+        assert "no coefficient below trunc=" in err
 
     def test_jacobi_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "jacobi", "--trunc", "40")
