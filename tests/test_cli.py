@@ -82,13 +82,6 @@ class TestExpand:
         assert (code, out) == (2, "")
         assert f"no coefficient below trunc={argv.split()[-1]}" in err
 
-    def test_negative_rational_trunc(self, capsys):
-        # argparse takes "-1/2" for an option unless it is bound to --trunc.
-        code, out, _ = run(capsys, "expand", "j", "--trunc", "-1/2")
-        assert code == 0
-        series = PuiseuxSeries.from_json(out)
-        assert (series.trunc, series.exponents()) == (Fraction(-1, 2), [-1])
-
 
 class TestVerify:
     @pytest.mark.parametrize("trunc, checked", [("-3", "4"), ("4", "4"), ("7", "7")])
@@ -96,11 +89,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "j-coeffs", f"--trunc={trunc}")
         assert code == 0
         assert out.startswith(f"j-coeffs [trunc={checked}]: pass")
-
-    def test_negative_rational_trunc_reaches_the_check(self, capsys):
-        code, out, err = run(capsys, "verify", "jacobi", "--trunc", "-3/2")
-        assert (code, out) == (2, "")
-        assert "no coefficient below trunc=" in err
 
     def test_jacobi_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "jacobi", "--trunc", "40")
@@ -210,7 +198,18 @@ class TestCuspsDivisorRank:
 
 
 class TestNegativeRationalParameters:
-    """A negative rational a/b is a parameter of divisor and of expand siegel, wp and wunit."""
+    """A negative rational a/b is a parameter of divisor and of expand siegel, wp and wunit, and a --trunc."""
+
+    def test_expand_takes_a_negative_rational_trunc(self, capsys):
+        code, out, _ = run(capsys, "expand", "j", "--trunc", "-1/2")
+        assert code == 0
+        series = PuiseuxSeries.from_json(out)
+        assert (series.trunc, series.exponents()) == (Fraction(-1, 2), [-1])
+
+    def test_verify_takes_a_negative_rational_trunc(self, capsys):
+        code, out, err = run(capsys, "verify", "jacobi", "--trunc", "-3/2")
+        assert (code, out) == (2, "")
+        assert "no coefficient below trunc=" in err and "expected one argument" not in err
 
     def test_divisor_takes_a_negative_index(self, capsys):
         code, out, _ = run(capsys, "divisor", "-1/2", "1/2", "4")
