@@ -12,11 +12,16 @@ The sum has two paths, chosen by the degree g, with the same R and the same
 interval bounds per level.  Up to SMALL_G the smallest eigenvalue and the
 Cholesky factor come from closed forms, and the 10-60 terms are summed in plain
 floats with math and cmath, so these calls import no numpy.  Above SMALL_G the
-ellipsoid holds hundreds to thousands of points, and numpy expands every prefix
-of a level at once.  On points with lambda_min(Im Z) = 0.44 at tol 1e-12
-(2-vCPU VM, Python 3.11), the plain-float sum took 0.66x numpy's time at g = 2,
-but 2.2x, 6.5x and 7x at g = 3, 4 and 5, so SMALL_G is 2.  numpy is imported
-by the second path and by the array views SiegelPoint.Z and .cholesky.
+ellipsoid holds hundreds to thousands of points: numpy expands every prefix of a
+level at once, and each point's norm ||U(n + r)||^2 comes from the enumeration,
+so the phase is the only quadratic form left, and a real one.  On points with
+lambda_min(Im Z) = 0.44 at tol 1e-12 (2-vCPU VM, Python 3.11.7, numpy 2.4.6,
+min of 7), the plain-float sum took 0.021-0.024 ms against numpy's
+0.059-0.060 ms at g = 2.  At g = 3 a plain-float sum written the same way took
+0.10-0.18 ms against numpy's 0.094-0.107 ms (1.1-1.7x).  So SMALL_G is 2, which
+also keeps numpy's import, about 0.1 s, out of a g <= 2 process such as
+`modunits theta --g 2`.  numpy is imported by the second path and by the array
+views SiegelPoint.Z and .cholesky.
 """
 from __future__ import annotations
 
@@ -198,35 +203,46 @@ def truncation_radius(point: SiegelPoint, tol: float) -> float:
     return hi
 
 
-def ellipsoid_points(U: np.ndarray, c: np.ndarray, R: float) -> np.ndarray:
-    """Every integer n with ||U(n + c)|| <= R, one per row, for U upper triangular.
+def _ellipsoid(U: np.ndarray, c: np.ndarray, R: float) -> tuple:
+    """(n, norm): every integer n with ||U(n + c)|| <= R, one per row, for U upper
+    triangular, and each row's ||U(n + c)||^2.
 
     Coordinates are fixed from the last to the first.  With n_(i+1..) fixed, the
     level-i term is U_ii^2 (n_i - center)^2, so n_i ranges over an interval set by
-    the squared radius left; every prefix is expanded to its interval at once.
+    R^2 minus the terms fixed so far; every prefix is expanded to its interval at
+    once.  The norm adds the level terms, which are the coordinates of U(n + c)
+    squared, from the last level up; taking it as R^2 minus the squared radius left
+    would cancel.
     """
     import numpy as np
 
     g = len(c)
     cols = []  # n_i.. over the prefixes kept so far
     partial = np.zeros((1, g))  # column k: sum of U_kj (n_j + c_j) over the fixed j
-    rest = np.array([float(R) ** 2])  # squared radius left for coordinates ..i
+    norm = np.zeros(1)  # sum of the level terms fixed so far
+    R2 = float(R) ** 2
     for i in range(g - 1, -1, -1):
         u = U[i, i]
         center = -partial[:, i] / u - c[i]
-        half = np.sqrt(np.maximum(rest, 0.0)) / u
+        half = np.sqrt(np.maximum(R2 - norm, 0.0)) / u
         lo = np.ceil(center - half)
         count = np.maximum(np.floor(center + half) - lo + 1, 0)
         # Summed as floats, before the int64 cast, which wraps past 2^63.
         if count.sum() > MAX_NUMPY_POINTS:
             raise _too_many_points(MAX_NUMPY_POINTS)
         count = count.astype(np.int64)
-        parent = np.repeat(np.arange(len(rest)), count)
+        parent = np.repeat(np.arange(len(norm)), count)
         n_i = lo[parent] + (np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count))
-        rest = rest[parent] - (u * (n_i - center[parent])) ** 2
-        partial = partial[parent] + np.outer(n_i + c[i], U[:, i])
+        norm = norm[parent] + (u * (n_i - center[parent])) ** 2
+        if i:  # the first coordinate's level is the last, and no level reads its partial
+            partial = partial[parent] + np.outer(n_i + c[i], U[:, i])
         cols = [n_i] + [col[parent] for col in cols]
-    return np.column_stack(cols)
+    return np.column_stack(cols), norm
+
+
+def ellipsoid_points(U: np.ndarray, c: np.ndarray, R: float) -> np.ndarray:
+    """Every integer n with ||U(n + c)|| <= R, one per row, for U upper triangular (see _ellipsoid)."""
+    return _ellipsoid(U, c, R)[0]
 
 
 def _interval(center: float, rest: float, u: float) -> range:
@@ -297,14 +313,17 @@ def _theta_small(rows: tuple, U: tuple, r: list, s: list, R: float) -> complex:
 
 
 def _theta_numpy(rows: tuple, U: np.ndarray, r: list, s: list, R: float) -> complex:
-    """The theta sum at the rows of Z over ellipsoid_points, vectorised with numpy (any g)."""
+    """The theta sum at the rows of Z over _ellipsoid, vectorised with numpy (any g).
+
+    With x = n + r and X = Re Z, a term is exp(-||U x||^2 + pi i x^T (X x + 2 s)): the
+    enumeration gives each point's norm, so the phase is the only quadratic form left, and a real one.
+    """
     import numpy as np
 
-    r, s = np.array(r), np.array(s)
-    x = ellipsoid_points(np.asarray(U), r, R) + r  # rows n + r
-    quad = np.einsum("ij,jk,ik->i", x, np.array(rows, dtype=complex), x) / 2.0
-    lin = x @ s
-    return complex(np.sum(np.exp(2j * np.pi * (quad + lin))))
+    n, norm = _ellipsoid(np.asarray(U), np.array(r), R)
+    x = n + r
+    phase = np.einsum("ij,ij->i", x @ np.array(rows, dtype=complex).real + 2 * np.array(s), x)
+    return complex(np.sum(np.exp(-norm + 1j * np.pi * phase)))
 
 
 def _split_integral(xs) -> tuple:

@@ -194,8 +194,12 @@ def weierstrass_unit(v1: FracVector, w1: FracVector, v2: FracVector, w2: FracVec
     trunc = Fraction(trunc)
     pad = trunc + 2
     wp = {v: wp_expansion(v, pad) for v in dict.fromkeys((v1, w1, v2, w2))}
-    out = (wp[v1] - wp[w1]) * (wp[v2] - wp[w2]).inverse()
-    return out.truncated_to(trunc)
+    den = wp[v2] - wp[w2]
+    if den.is_zero():
+        # p_v - p_w with v !~ +-w has a term at or below q^(1/2), so trunc <= -3/2 here, and the
+        # unit's leading exponent is at least -1/2.
+        return PuiseuxSeries.zero(trunc)
+    return ((wp[v1] - wp[w1]) * den.inverse()).truncated_to(trunc)
 
 
 def _congruent_up_to_sign(a: FracVector, b: FracVector) -> bool:
@@ -223,10 +227,13 @@ def hN(N: int, trunc) -> PuiseuxSeries:
 
 
 def g14(trunc) -> PuiseuxSeries:
-    """g_(1/4,0)(4 tau)^(-8) * g_(1/2,0)(4 tau)^8, with leading exponent -1."""
+    """g_(1/4,0)(4 tau)^(-8) * g_(1/2,0)(4 tau)^8, with leading exponent -1.
+
+    Below trunc -1 the series is built at -1, where it is known to be empty.
+    """
     trunc = Fraction(trunc)
     # The quotient and its 8th power lose 23/96 of precision before q -> q^4 multiplies it by 4,
     # so a working truncation of trunc/4 + 1/4 (= 24/96) still covers trunc.
-    rel = trunc / 4 + Fraction(1, 4)
+    rel = max(trunc, -1) / 4 + Fraction(1, 4)
     half, quarter = (siegel_function(FracVector(r, 0), rel) for r in (Fraction(1, 2), Fraction(1, 4)))
     return ((half / quarter) ** 8).substitute_q_power(4).truncated_to(trunc)

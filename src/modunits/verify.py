@@ -42,10 +42,11 @@ def _timed(fn):
     return wrapper
 
 
-def _series_report(name: str, param: str, lhs: PuiseuxSeries, rhs: PuiseuxSeries) -> VerifyReport:
-    trunc = min(lhs.trunc, rhs.trunc)
-    if min(lhs.ord(), rhs.ord()) >= trunc:  # a zero series' ord is its trunc
-        raise ValueError(f"no coefficient below trunc={trunc} to compare")
+def _series_report(name: str, trunc, lhs: PuiseuxSeries, rhs: PuiseuxSeries) -> VerifyReport:
+    """lhs against rhs, reported at trunc, the bound the caller was given."""
+    param = f"trunc={trunc}"
+    if min(lhs.ord(), rhs.ord()) >= min(lhs.trunc, rhs.trunc):  # a zero series' ord is its trunc
+        raise ValueError(f"no coefficient below {param} to compare")
     mismatch = lhs.first_mismatch(rhs)
     if mismatch is None:
         return VerifyReport(name, param, True)
@@ -63,58 +64,58 @@ def verify_jacobi(trunc=200) -> VerifyReport:
     t2 = classical.theta_classical(2, trunc)
     t3 = classical.theta_classical(3, trunc)
     t4 = classical.theta_classical(4, trunc)
-    return _series_report("jacobi", f"trunc={trunc}", t2**4 + t4**4, t3**4)
+    return _series_report("jacobi", trunc, t2**4 + t4**4, t3**4)
 
 
 @_timed
 def verify_theta_eta(trunc=200) -> VerifyReport:
     trunc = Fraction(trunc)
-    pad = trunc + 1
+    pad = max(trunc, 0) + 1  # neither identity has a term below q^0; eta refuses trunc <= 1/24
     eta1 = classical.eta(pad)
     eta2 = classical.eta(pad / 2).substitute_q_power(2)
     eta4 = classical.eta(pad / 4).substitute_q_power(4)
     inv_eta2 = eta2.inverse()
     lhs1 = classical.theta_classical(2, pad / 2).substitute_q_power(2)
     rhs1 = (eta4 * eta4 * inv_eta2).scaled(2)
-    rep = _series_report("theta-eta", f"trunc={trunc}", lhs1.truncated_to(trunc), rhs1.truncated_to(trunc))
+    rep = _series_report("theta-eta", trunc, lhs1.truncated_to(trunc), rhs1.truncated_to(trunc))
     if not rep.passed:
         return rep
     lhs2 = classical.theta_classical(4, pad / 2).substitute_q_power(2)
     rhs2 = eta1 * eta1 * inv_eta2
-    return _series_report("theta-eta", f"trunc={trunc}", lhs2.truncated_to(trunc), rhs2.truncated_to(trunc))
+    return _series_report("theta-eta", trunc, lhs2.truncated_to(trunc), rhs2.truncated_to(trunc))
 
 
 @_timed
 def verify_g14_eta(trunc=60) -> VerifyReport:
     trunc = Fraction(trunc)
-    pad = trunc + 3
+    pad = max(trunc, -1) + 3  # both sides start at q^-1; eta refuses trunc <= 1/24
     g = units.g14(pad)
     eta1 = classical.eta(pad)
     eta4 = classical.eta(pad / 4).substitute_q_power(4)
     eta_quotient = eta1**8 * eta4 ** (-8)
     return _series_report(
-        "g14-eta", f"trunc={trunc}", (g - 16).truncated_to(trunc), eta_quotient.truncated_to(trunc)
+        "g14-eta", trunc, (g - 16).truncated_to(trunc), eta_quotient.truncated_to(trunc)
     )
 
 
 @_timed
 def verify_g14_theta(trunc=60) -> VerifyReport:
     trunc = Fraction(trunc)
-    pad = trunc + 3
+    pad = max(trunc, -1) + 3  # both sides start at q^-1; theta2^4 needs a term to be inverted
     g = units.g14(pad)
     t3 = classical.theta_classical(3, pad / 2).substitute_q_power(2)
     t2 = classical.theta_classical(2, pad / 2).substitute_q_power(2)
     rhs = (t3**4 * (t2**4).inverse()).scaled(16)
-    return _series_report("g14-theta", f"trunc={trunc}", g.truncated_to(trunc), rhs.truncated_to(trunc))
+    return _series_report("g14-theta", trunc, g.truncated_to(trunc), rhs.truncated_to(trunc))
 
 
 @_timed
 def verify_delta_eta(trunc=50) -> VerifyReport:
     trunc = Fraction(trunc)
     delta = classical.discriminant(trunc)
-    eta24 = classical.eta(trunc) ** 24
+    eta24 = classical.eta(max(trunc, 1)) ** 24  # both sides start at q; eta refuses trunc <= 1/24
     return _series_report(
-        "delta-eta", f"trunc={trunc}", delta.with_two_pi_i_power(0), eta24.truncated_to(delta.trunc)
+        "delta-eta", trunc, delta.with_two_pi_i_power(0), eta24.truncated_to(delta.trunc)
     )
 
 

@@ -74,7 +74,8 @@ class TestExpand:
         [
             "theta2 --trunc 1/8", "theta3 --trunc 0", "theta4 --trunc -1", "g2 --trunc 0", "delta --trunc 1",
             "g14 --trunc -1", "wp 1/3 0 --trunc -2", "h1N 5 --trunc -1", "j --trunc -1", "j --trunc -5",
-            "klein --trunc 0", "delta --trunc -1",
+            "klein --trunc 0", "delta --trunc -1", "hN 5 --trunc -2", "h1N 5 --trunc -2",
+            "wunit 1/5 2/5 4/5 4/5 2/5 1/5 2/5 2/5 --trunc -2", "g14 --trunc -5/2",
         ],
     )
     def test_empty_series_exit_2(self, capsys, argv):
@@ -209,7 +210,13 @@ class TestNegativeRationalParameters:
     def test_verify_takes_a_negative_rational_trunc(self, capsys):
         code, out, err = run(capsys, "verify", "jacobi", "--trunc", "-3/2")
         assert (code, out) == (2, "")
-        assert "no coefficient below trunc=" in err and "expected one argument" not in err
+        assert "no coefficient below trunc=-3/2 to compare" in err and "expected one argument" not in err
+
+    @pytest.mark.parametrize("identity, trunc", [("theta-eta", "-3/2"), ("delta-eta", "-1")])
+    def test_verify_refusal_names_the_truncation_typed(self, capsys, identity, trunc):
+        code, out, err = run(capsys, "verify", identity, "--trunc", trunc)
+        assert (code, out) == (2, "")
+        assert f"no coefficient below trunc={trunc} to compare" in err
 
     def test_divisor_takes_a_negative_index(self, capsys):
         code, out, _ = run(capsys, "divisor", "-1/2", "1/2", "4")

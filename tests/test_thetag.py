@@ -312,6 +312,49 @@ class TestEllipsoid:
             theta_constant(ch, point, radius=R)
 
 
+class TestNormFromTheEnumeration:
+    """Above SMALL_G each point's ||U(n + r)||^2 comes from the enumeration, not from a quadratic form."""
+
+    @staticmethod
+    def boxable_point(rng, g):
+        """A seeded non-diagonal point whose reference box stays under a million points: at g >= 5,
+        Im Z is scaled so that lambda_min(Im Z) >= 1.2 (g = 5) or 2.4 (g = 6)."""
+        Z = random_point(rng, g).Z
+        return SiegelPoint(Z.real + 1j * {5: 2, 6: 4}.get(g, 1) * Z.imag)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+    def test_norms_equal_the_direct_norms(self, g):
+        rng = np.random.default_rng(800 + g)
+        for _ in range(4):
+            point = random_point(rng, g, lambda_min=0.44)
+            c = rng.uniform(-1, 1, g)
+            n, norm = thetag._ellipsoid(point.cholesky, c, truncation_radius(point, 1e-12))
+            direct = np.sum(((n + c) @ point.cholesky.T) ** 2, axis=1)
+            np.testing.assert_allclose(norm, direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_theta_matches_box_sum_to_rounding(self, g):
+        rng = np.random.default_rng(900 + g)
+        for _ in range(3):
+            point, ch = self.boxable_point(rng, g), random_char(rng, g)
+            reference = box_theta(ch, point)
+            assert abs(theta_constant(ch, point, tol=1e-15) - reference) <= 1e-13 * max(1.0, abs(reference))
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_points_equal_filtered_box(self, g):
+        rng = np.random.default_rng(900 + g)
+        for _ in range(3):
+            point, ch = self.boxable_point(rng, g), random_char(rng, g)
+            c, R = np.array([float(x) for x in ch.r]), truncation_radius(point, 1e-12)
+            got = ellipsoid_points(point.cholesky, c, R)
+            B = math.ceil(R / math.sqrt(math.pi * point.lambda_min) + 1)
+            box = np.array(list(itertools.product(range(-B, B + 1), repeat=g)), dtype=float)
+            x = box + c
+            inside = np.einsum("ij,jk,ik->i", x, np.pi * point.Z.imag, x) <= R * R
+            assert len(got) == len({tuple(row) for row in got})
+            assert {tuple(row) for row in got} == {tuple(row) for row in box[inside]}
+
+
 class TestTailBound:
     @pytest.mark.parametrize("Z", [[[1j, 0], [0, 1e-310j]], np.diag([1j, 1j, 1e-300j])])
     def test_refuses_when_the_bound_overflows(self, Z):
