@@ -25,11 +25,9 @@ def eta(trunc) -> PuiseuxSeries:
     """Dedekind eta, q^(1/24) * prod_{n>=1} (1 - q^n), by Euler's pentagonal theorem.
 
     The product is sum_k (-1)^k q^(k(3k-1)/2), and q^(1/24) moves the exponent of k to
-    (6k-1)^2/24, which increases along k = 0, 1, -1, 2, -2, ...
+    (6k-1)^2/24, which increases along k = 0, 1, -1, 2, -2, ...  At trunc <= 1/24 the series is empty.
     """
     trunc = Fraction(trunc)
-    if trunc <= Fraction(1, 24):
-        raise ValueError("trunc must exceed 1/24")
     limit = -(-24 * trunc.numerator // trunc.denominator)  # key j stands for q^(j/24), and j < limit
     terms = {}
     k = 0

@@ -212,9 +212,10 @@ def cmd_divisor(args) -> int:
 
     r, s = parse_rational(args.r), parse_rational(args.s)
     div = cusps.divisor_of_siegel_power((r, s), args.N)
-    orders = div.entries.items()  # the cusps in enumeration order, zipped with their orders
+    text = {m: str(Fraction(m, args.N)) for m in set(div.orders)}  # a row holds at most N distinct orders
+    orders = [(c, text[m]) for c, m in zip(cusps.enumerate_cusps(args.N), div.orders)]
     if args.format == "json":
-        entries = [{"cusp": {"a": c.a, "c": c.c}, "order": str(m)} for c, m in orders]
+        entries = [{"cusp": {"a": c.a, "c": c.c}, "order": m} for c, m in orders]
         payload = {"level": args.N, "index": [str(r), str(s)], "entries": entries, "degree": str(div.degree())}
         print(json.dumps(payload))
     else:

@@ -6,18 +6,19 @@ smallest of the pair.  Divisor orders use the order-in-q normalization, which
 leaves degrees and ranks unchanged since all cusps of level N have equal width.
 
 A divisor is an integer row: N times the order at each cusp, in the order of
-enumerate_cusps(N).  Everything a level needs is integers, built once and cached:
-its sorted cusps, their (a, c) pairs and the weights N*T_N[k] = 6N^2*B2(k/N) for k
-mod N.  For v = (i/N, j/N) the row entry at (a : c) is N*T_N[(a*i + c*j) mod N], so
-a divisor is one lookup per cusp, and the rank runs on the same rows by
-fraction-free elimination.  This module loads no series engine: the units layer
-is imported only where a FracVector or GammaMatrix is built.
+enumerate_cusps(N), the lexicographic order of the pairs (a, c).  Everything a
+level needs is built once and cached: its cusps, their (a, c) pairs and the
+integer weights N*T_N[k] = 6N^2*B2(k/N) for k mod N.  For v = (i/N, j/N) the row
+entry at (a : c) is N*T_N[(a*i + c*j) mod N], so a divisor is one lookup per
+cusp, and the rank runs on the same rows by fraction-free elimination.  A Cusp is
+a plain value, keyed by (a, c, level); no divisor build hashes one.  This module
+loads no series engine: the units layer is imported only where a FracVector or
+GammaMatrix is built.
 """
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from math import gcd
 
 from .cycloq import Frozen, Record, _prime_factors
@@ -27,10 +28,8 @@ if TYPE_CHECKING:
     from .units import FracVector, GammaMatrix
 
 
-@total_ordering
 class Cusp(Frozen):
-    """The class of a/c on X(N); c = 0 encodes i-infinity.  Cusps compare, hash and
-    sort by (a, c) alone: the level is not part of the key."""
+    """The class of a/c on X(N); c = 0 encodes i-infinity."""
 
     __slots__ = ("a", "c", "level")
 
@@ -38,20 +37,6 @@ class Cusp(Frozen):
         if gcd(gcd(a, c), level) != 1:
             raise ValueError(f"({a} : {c}) is not primitive mod {level}")
         self._set(a, c, level)
-
-    # Not Frozen's: the key leaves out the level, as DivisorVector.entries looks cusps up by (a, c).
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.c) == (other.a, other.c)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.c))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.c) < (other.a, other.c)
-        return NotImplemented
 
     def __str__(self):
         if self.c % self.level == 0:
@@ -73,60 +58,12 @@ class DivisorVector(Record):
         return Fraction(sum(self.orders), self.level)
 
     @property
-    def entries(self) -> Mapping[Cusp, Fraction]:
-        """The order at each cusp, in enumeration order: a read-only view built on demand."""
-        return _Entries(self.level, self.orders)
-
-
-class _Fractions(dict):
-    """m -> Fraction(m, N) at one level N, each made on first use and then shared: a Siegel
-    power's row takes at most N distinct orders, so its cusps share a few Fractions."""
-
-    __slots__ = ("N",)
-
-    def __init__(self, N: int):
-        self.N = N
-
-    def __missing__(self, m: int) -> Fraction:
-        self[m] = f = Fraction(m, self.N)
-        return f
-
-
-_fractions = lru_cache(maxsize=32)(_Fractions)
-
-
-class _Entries(Mapping):
-    """DivisorVector.entries: cusp -> order as a Fraction, looked up by (a, c) as Cusp compares."""
-
-    __slots__ = ("_cusps", "_index", "_values")
-
-    def __init__(self, N: int, orders: tuple[int, ...]):
-        self._cusps, self._index, _ = _level(N)
-        if len(orders) != len(self._cusps):
-            raise ValueError(f"a divisor on X({N}) has {len(self._cusps)} orders, got {len(orders)}")
-        self._values = list(map(_fractions(N).__getitem__, orders))
-
-    def __getitem__(self, cusp):
-        try:
-            return self._values[self._index[cusp.a, cusp.c]]
-        except AttributeError:
-            raise KeyError(cusp) from None
-
-    def __iter__(self):
-        return iter(self._cusps)
-
-    def __len__(self):
-        return len(self._cusps)
-
-    def items(self):
-        return _Items(self)
-
-
-class _Items(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(self._mapping._cusps, self._mapping._values)
+    def entries(self) -> dict[Cusp, Fraction]:
+        """The order at each cusp, in enumeration order, as a new dict."""
+        N, cusps = self.level, _level(self.level)[0]
+        if len(self.orders) != len(cusps):
+            raise ValueError(f"a divisor on X({N}) has {len(cusps)} orders, got {len(self.orders)}")
+        return {cusp: Fraction(m, N) for cusp, m in zip(cusps, self.orders)}
 
 
 def cusp_count(N: int) -> int:
@@ -152,8 +89,8 @@ def _sign_classes(N: int):
 
 
 @lru_cache(maxsize=32)
-def _level(N: int) -> tuple[tuple[Cusp, ...], dict[tuple[int, int], int], tuple[int, ...]]:
-    """The sorted cusps of X(N), the position of each (a, c) pair in that order, and N*T_N."""
+def _level(N: int) -> tuple[tuple[Cusp, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The cusps of X(N) in enumeration order, their (a, c) pairs, and N*T_N."""
     if N < 2:
         raise ValueError("N must be at least 2")
     pairs = []
@@ -162,18 +99,18 @@ def _level(N: int) -> tuple[tuple[Cusp, ...], dict[tuple[int, int], int], tuple[
         pairs += ((a, c) for c in cs if d == 1 or gcd(c, d) == 1)
     cusps = tuple(Cusp(a, c, N) for a, c in pairs)
     weights = tuple(6 * k * k - 6 * k * N + N * N for k in range(N))
-    return cusps, {ac: k for k, ac in enumerate(pairs)}, weights
+    return cusps, tuple(pairs), weights
 
 
 def _row(N: int, i: int, j: int) -> tuple[int, ...]:
     """N times the divisor of the 12N-th Siegel power of (i/N, j/N): N*T_N[(a*i + c*j) mod N] at
-    each cusp (a : c), in enumeration order.  The index dict iterates its pairs in that order."""
+    each cusp (a : c), in enumeration order."""
     _, pairs, weights = _level(N)
     return tuple([weights[(a * i + c * j) % N] for a, c in pairs])
 
 
 def enumerate_cusps(N: int) -> list[Cusp]:
-    """Canonical representatives of (a : c) mod N, gcd(a, c, N) = 1, modulo +-1, sorted."""
+    """Canonical representatives of (a : c) mod N, gcd(a, c, N) = 1, modulo +-1, in lexicographic order."""
     return list(_level(N)[0])
 
 

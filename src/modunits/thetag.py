@@ -32,8 +32,8 @@ import math
 import numbers
 from fractions import Fraction
 
-from .cycloq import e_of
-from .units import FracVector, Frozen, siegel_function
+from .cycloq import Frozen, e_of
+from .units import FracVector, siegel_function
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers read it as True
 if TYPE_CHECKING:

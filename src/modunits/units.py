@@ -11,8 +11,7 @@ import cmath
 import math
 from fractions import Fraction
 
-# Record and Frozen are re-exported for thetag and verify.
-from .cycloq import Cyclotomic, Frozen, Record, e_of  # noqa: F401
+from .cycloq import Cyclotomic, Frozen, e_of
 # Unused here since siegel_function is a closed form, but bench/tracer.py patches product_family in this namespace.
 from .qseries import PuiseuxSeries, product_family  # noqa: F401
 from .classical import _theta_sum, eta, theta_classical
@@ -76,7 +75,8 @@ def transform_vector(g: GammaMatrix, v: FracVector) -> FracVector:
 
 def siegel_function(v: FracVector, trunc) -> PuiseuxSeries:
     """Exact q-expansion of the Siegel function indexed by (r, s), 0 <= r < 1, by Jacobi's triple
-    product e(3/4 - r(s+1)/2) * theta[r - 1/2; s + 1/2] / eta, with leading exponent B2(r)/2."""
+    product e(3/4 - r(s+1)/2) * theta[r - 1/2; s + 1/2] / eta, with leading exponent B2(r)/2; empty at
+    trunc <= B2(r)/2."""
     if v.is_integral():
         raise ValueError("index vector must lie outside Z^2")
     r, s = v.r, v.s
@@ -84,14 +84,14 @@ def siegel_function(v: FracVector, trunc) -> PuiseuxSeries:
         raise ValueError(f"first coordinate must satisfy 0 <= r < 1, got {r}")
     trunc = Fraction(trunc)
     lead = bernoulli2(r) / 2
+    d = math.lcm(lead.denominator, r.denominator)  # the lattice of B2(r)/2 + (1/den(r))Z
     if trunc <= lead:
-        raise ValueError("trunc must exceed the leading exponent")
+        return PuiseuxSeries(d, {}, trunc)
     a, b = r - Fraction(1, 2), s + Fraction(1, 2)
     # The theta sum starts at q^(a^2/2), eta's inverse at q^(-1/24): the quotient is known below trunc.
     # The whole phase, e(ab) included, is one rotation after the product, which runs over Q(zeta_den(b)).
     quotient = _theta_sum(a, b, trunc + Fraction(1, 24)) * eta(trunc + Fraction(1, 12) - a * a / 2).inverse()
     t = Fraction(3, 4) - r * (s + 1) / 2 + a * b
-    d = math.lcm(lead.denominator, r.denominator)  # the lattice of B2(r)/2 + (1/den(r))Z
     return PuiseuxSeries(d, {k * d // quotient.denom: c.rotated(t) for k, c in quotient.terms.items()}, trunc)
 
 

@@ -31,9 +31,9 @@ class TestEta:
         for k in range(13):
             assert e.coefficient(k + F(1, 24)) == signs.get(k, 0)
 
-    def test_trunc_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            eta(F(1, 48))
+    def test_empty_at_or_below_its_leading_term(self):
+        assert eta(F(1, 48)) == PuiseuxSeries(24, {}, F(1, 48))
+        assert eta(F(1, 24)).is_zero() and eta(-3).is_zero()
 
     @pytest.mark.parametrize("trunc", [F(1, 12), 1, F(7, 3), 10, F(121, 24), F(97, 2)])
     def test_matches_product_form(self, trunc):

@@ -76,6 +76,7 @@ class TestExpand:
             "g14 --trunc -1", "wp 1/3 0 --trunc -2", "h1N 5 --trunc -1", "j --trunc -1", "j --trunc -5",
             "klein --trunc 0", "delta --trunc -1", "hN 5 --trunc -2", "h1N 5 --trunc -2",
             "wunit 1/5 2/5 4/5 4/5 2/5 1/5 2/5 2/5 --trunc -2", "g14 --trunc -5/2",
+            "eta --trunc 0", "eta --trunc 1/48", "siegel 1/3 0 --trunc -1",
         ],
     )
     def test_empty_series_exit_2(self, capsys, argv):
@@ -705,6 +706,8 @@ def test_identity_at_trunc_1_still_passes(capsys):
     assert code == 0
     assert out.startswith("jacobi [trunc=1]: pass")
     assert verify.verify_theta_eta(1).passed
+    # Below q^(1/4) theta2(2 tau) has no term, and the identity for theta4(2 tau) is compared alone.
+    assert verify.verify_theta_eta(Fraction(1, 5)).passed
 
 
 def _readme_commands():

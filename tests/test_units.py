@@ -52,6 +52,12 @@ class TestSiegelFunction:
         assert s.ord() == F(-1, 96)
         assert s.ord() == bernoulli2(F(1, 4)) / 2
 
+    @pytest.mark.parametrize("r, trunc", [(F(1, 3), -1), (F(1, 3), F(-1, 36)), (F(1, 4), F(-1, 96)), (0, 0)])
+    def test_empty_at_or_below_its_leading_exponent(self, r, trunc):
+        s = siegel_function(FracVector(r, F(1, 5)), trunc)
+        assert s.is_zero() and s.trunc == trunc
+        assert s.denom == siegel_function(FracVector(r, F(1, 5)), 2).denom  # on its own lattice
+
     def test_integral_vector_rejected(self):
         with pytest.raises(ValueError):
             siegel_function(FracVector(0, 1), 2)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from modunits.cusps import Cusp, DivisorVector, divisor_of_siegel_power, enumerate_cusps
+from modunits.cusps import Cusp, DivisorVector, divisor_of_siegel_power
 from modunits.thetag import ThetaChar
 from modunits.units import FracVector, GammaMatrix
 from modunits.verify import VerifyReport
@@ -66,25 +66,12 @@ def test_equal_values_hash_equal():
     assert GammaMatrix(1, 0, 0, 1) != (1, 0, 0, 1)
 
 
-def test_cusp_compares_and_hashes_without_its_level():
-    assert Cusp(1, 2, 5) == Cusp(1, 2, 7)
-    assert hash(Cusp(1, 2, 5)) == hash(Cusp(1, 2, 7))
+def test_cusp_compares_and_hashes_by_a_c_and_level():
+    assert Cusp(1, 2, 5) == Cusp(1, 2, 5) and hash(Cusp(1, 2, 5)) == hash(Cusp(1, 2, 5))
+    assert Cusp(1, 2, 5) != Cusp(1, 2, 7)
     assert Cusp(1, 2, 5) != Cusp(2, 1, 5)
-    assert len({Cusp(1, 2, 5), Cusp(1, 2, 7), Cusp(1, 3, 5)}) == 2
-
-
-def test_cusp_orders_by_a_then_c():
-    assert Cusp(0, 1, 5) < Cusp(1, 0, 5) < Cusp(1, 2, 5)
-    assert Cusp(1, 2, 5) <= Cusp(1, 2, 7) and Cusp(1, 2, 5) >= Cusp(1, 2, 7)
-    assert Cusp(2, 1, 5) > Cusp(1, 4, 5)
-    assert sorted([Cusp(2, 1, 5), Cusp(0, 1, 5), Cusp(1, 4, 5)]) == [Cusp(0, 1, 5), Cusp(1, 4, 5), Cusp(2, 1, 5)]
-    with pytest.raises(TypeError):
-        Cusp(0, 1, 5) < (0, 2)
-
-
-def test_divisor_entries_sort_in_enumeration_order():
-    div = divisor_of_siegel_power(FracVector(F(1, 6), F(1, 3)), 6)
-    assert [c for c, _ in sorted(div.entries.items())] == enumerate_cusps(6)
+    assert Cusp(1, 2, 5) != (1, 2, 5)
+    assert len({Cusp(1, 2, 5), Cusp(1, 2, 7), Cusp(1, 3, 5), Cusp(1, 2, 5)}) == 3
 
 
 @pytest.mark.parametrize("value, field", FROZEN)
