@@ -5,12 +5,16 @@ in Q(zeta_f), in the power basis 1, zeta_f, ..., zeta_f^{phi(f)-1} modulo the
 f-th cyclotomic polynomial.  Its coordinates are integer numerators over one
 positive denominator that shares no factor with all of them, so equal numbers
 have equal (order, numerators, denominator), and equality and hashing compare
-those.  Sums, products, rotations and the conductor search all run on the
-integers; ``coeffs`` builds the coordinates as ``fractions.Fraction``s on demand.
+those.  Sums, products, inverses, rotations and the conductor search all run on
+the integers; ``coeffs`` builds the coordinates as ``fractions.Fraction``s on demand.
+
+Every product of coordinate lists, of one element or of a whole series, is one big-int product
+in ``_kron_mul`` (Kronecker substitution), each output slot reduced mod Phi once.
 
 A rational multiple lambda*e(t) of a root of unity is recognised by ``unit_angle``.  It
-rotates by e(-t) to a rational, so it inverts as e(-t)/lambda; any other value inverts by
-the extended Euclidean algorithm over Fractions.  A rotation by e(t) is a shift of integer
+rotates by e(-t) to a rational, so it inverts as e(-t)/lambda; any other value x inverts as
+adj/N(x), adj the product of its conjugates other than x and N(x) = x*adj its norm, a
+rational.  A rotation by e(t) and a conjugation zeta -> zeta^k are index maps on integer
 coordinates in Z[x]/(x^L - 1), reduced mod Phi_L once.
 
 Record and Frozen, the bases of every layer's value types, live here because every layer
@@ -21,7 +25,6 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import gcd, isqrt, lcm
 
 
@@ -100,26 +103,81 @@ def euler_phi(order: int) -> int:
 
 
 def _poly_divmod(num, den) -> tuple[list, list]:
-    """num = quo*den + rem, deg rem < deg den, on ascending lists; rem has min(len(num), deg den) entries.
+    """num = quo*den + rem, deg rem < deg den, on ascending lists, den monic (a cyclotomic
+    polynomial), so integers stay integers; rem has min(len(num), deg den) entries.
 
-    Zero coefficients of den, trailing ones too, are skipped, and the leading one is divided
-    by only when it is not 1, so Phi_n divided by Phi_d stays in integers.
+    Zero coefficients of den are skipped.
     """
-    dd = max(i for i, c in enumerate(den) if c)
-    lead = den[dd]
+    dd = len(den) - 1
     low = [(i, c) for i, c in enumerate(den[:dd]) if c]
     rem = list(num)
     quo = [0] * (len(rem) - dd)
     for k in range(len(quo) - 1, -1, -1):
         c = rem[k + dd]
         if c:
-            if lead != 1:
-                c = c / lead
             quo[k] = c
             for i, x in low:
                 rem[k + i] -= c * x
     del rem[dd:]
     return quo, rem
+
+
+def _kron_mul(xa: list[int], xb: list[int], n: int, M: int) -> list[int]:
+    """The first n slots of the product of two flat integer coordinate lists over Q(zeta_M),
+    each output slot reduced mod Phi_M, by one big-int product (Kronecker substitution).
+
+    Slot s, coordinate j goes to field s*(2*phi - 1) + j of one signed integer, so the
+    coordinates of a product of two slots, of degree up to 2*phi - 2 in zeta, never overlap
+    the next slot's.  An output field sums at most min(#A, #B)*phi products of one coordinate
+    of each side, so its width (with a sign bit) covers every value it can hold.
+    """
+    phi = euler_phi(M)
+    ma, mb = max(map(abs, xa), default=0), max(map(abs, xb), default=0)
+    if not ma or not mb:
+        return [0] * (n * phi)
+    terms = min(_occupied(xa, phi), _occupied(xb, phi))
+    bits = ma.bit_length() + mb.bit_length() + (terms * phi).bit_length() + 1
+    width = -(-bits // 8)
+    stride = 2 * phi - 1
+    X = _pack(xa, phi, stride, width)
+    P = X * X if xb is xa else X * _pack(xb, phi, stride, width)
+    # Adding 2^(w-1) to every wanted field makes each one a digit in [0, 2^w): no borrows.
+    size = n * stride * width
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * (n * stride), "little")
+    raw = ((P + offset) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    vals = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
+    if phi == 1:
+        return vals
+    mod = cyclotomic_polynomial(M)
+    out = []
+    for at in range(0, len(vals), stride):
+        block = vals[at : at + stride]
+        out += _poly_divmod(block, mod)[1] if any(block) else [0] * phi
+    return out
+
+
+def _occupied(xs: list[int], phi: int) -> int:
+    """The number of nonzero slots of a flat coordinate list."""
+    if phi == 1:
+        return len(xs) - xs.count(0)
+    return sum(1 for at in range(0, len(xs), phi) if any(xs[at : at + phi]))
+
+
+def _pack(xs: list[int], phi: int, stride: int, width: int) -> int:
+    """sum of xs[s*phi + j] * 2^(8*width*(s*stride + j)), built from byte strings of the
+    positive and the negative coordinates."""
+    pos = bytearray(len(xs) // phi * stride * width)
+    neg = bytearray(len(pos))
+    for i, x in enumerate(xs):
+        if x:
+            s, j = divmod(i, phi)
+            at = (s * stride + j) * width
+            if x > 0:
+                pos[at : at + width] = x.to_bytes(width, "little")
+            else:
+                neg[at : at + width] = (-x).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 @lru_cache(maxsize=None)
@@ -156,17 +214,22 @@ def _descend(order: int, p: int, xs: list[int]) -> list[int] | None:
     return _poly_divmod([a - b for a, b in zip(ys[0], last)], mod)[1]
 
 
-def _rotate(order: int, xs: list[int], t: Fraction) -> tuple[int, list[int]]:
-    """L = lcm(order, den t) and the coordinates over Q(zeta_L) of e(t) times the element with
-    coordinates xs over Q(zeta_order): a shift of the lifted coordinates in Z[x]/(x^L - 1),
-    reduced mod Phi_L once."""
-    L = lcm(order, t.denominator)
-    step, shift = L // order, t.numerator * (L // t.denominator)
+def _index_map(xs: list[int], L: int, step: int, shift: int) -> list[int]:
+    """The coordinates over Q(zeta_L) of sum_i xs[i] zeta_L^(i*step + shift), where i -> i*step
+    is one-to-one mod L on the indices of xs: a permutation in Z[x]/(x^L - 1), reduced mod Phi_L
+    once."""
     ys = [0] * L
     for i, x in enumerate(xs):
         if x:
             ys[(i * step + shift) % L] = x
-    return L, _poly_divmod(ys, cyclotomic_polynomial(L))[1]
+    return _poly_divmod(ys, cyclotomic_polynomial(L))[1]
+
+
+def _rotate(order: int, xs: list[int], t: Fraction) -> tuple[int, list[int]]:
+    """L = lcm(order, den t) and the coordinates over Q(zeta_L) of e(t) times the element with
+    coordinates xs over Q(zeta_order): a shift of the lifted coordinates."""
+    L = lcm(order, t.denominator)
+    return L, _index_map(xs, L, L // order, t.numerator * (L // t.denominator))
 
 
 def unit_angle(x: "Cyclotomic") -> Fraction | None:
@@ -350,7 +413,7 @@ class Cyclotomic:
                 return Cyclotomic.zero()
             return Cyclotomic(x.order, [c * p for c in x.nums], True, x.den * r.den)
         m = lcm(self.order, other.order)
-        return Cyclotomic(m, _poly_mul(self._lifted(m), other._lifted(m)), False, self.den * other.den)
+        return Cyclotomic(m, _kron_mul(self._lifted(m), other._lifted(m), 1, m), False, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -362,8 +425,19 @@ class Cyclotomic:
             lam = self.rotated(-t)
             p = lam.nums[0]
             return Cyclotomic(1, [lam.den if p > 0 else -lam.den], True, abs(p)).rotated(-t)
-        inv = _poly_modular_inverse(list(self.coeffs), cyclotomic_polynomial(self.order))
-        return Cyclotomic(self.order, inv)
+        # x = X/den at conductor f: 1/x = den*adj/N, adj the product of sigma_k(X) over the units
+        # k != 1 mod f (sigma_k: zeta_f -> zeta_f^k), and N = X*adj the norm of X, an integer.
+        # The conjugates are multiplied pairwise, so each product has factors of equal size.
+        f, xs = self.order, list(self.nums)
+        adj = [_index_map(xs, f, k, 0) for k in range(2, f) if gcd(k, f) == 1]
+        while len(adj) > 1:
+            adj = [_kron_mul(a, b, 1, f) for a, b in zip(adj[::2], adj[1::2])] + adj[len(adj) & ~1 :]
+        norm = _kron_mul(xs, adj[0], 1, f)
+        if any(norm[1:]):
+            raise ArithmeticError("the product of the conjugates of x is not rational")
+        n = norm[0]
+        scale = self.den if n > 0 else -self.den
+        return Cyclotomic(f, [a * scale for a in adj[0]], True, abs(n))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -410,32 +484,6 @@ class Cyclotomic:
         if self.order == 1:
             return f"Cyclotomic({self.rational_value()})"
         return f"Cyclotomic(order={self.order}, coeffs={list(self.coeffs)})"
-
-
-def _poly_modular_inverse(a: list[Fraction], modulus: tuple[int, ...]) -> list[Fraction]:
-    """Inverse of a modulo a monic polynomial, by the extended Euclidean algorithm."""
-    # Invariant: r0 = s0*a (mod modulus), r1 = s1*a (mod modulus).
-    r0, r1 = modulus, a
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(r1[1:]):
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        qs1 = _poly_mul(q, s1)
-        s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs1, fillvalue=Fraction(0))]
-    if not r1[0]:
-        raise CyclotomicDivisionError("element is not invertible")
-    c = r1[0]
-    return [x / c for x in s1]
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def e_of(x) -> Cyclotomic:

@@ -10,12 +10,13 @@ by the gcd of all keys, and their integer numerators lifted to Q(zeta_M) and
 laid out flat over one common denominator (``_dense``).  The whole product is
 one big-int multiplication by Kronecker substitution (each coordinate in a slot
 wide enough for its proven bound), each output coefficient reduced mod Phi_M
-once, and ``_sparse`` stores each at its conductor.  Every inverse is Newton
-iteration on the same kernel, and every power binary powering on it: one
-``_dense``, squares and products of the one flat list (numerators and
-denominator divided by their gcd after each), and one ``_sparse``.  As
-cyclotomic values are stored at their conductors, the field the kernel works
-in does not show in the result.
+once, in ``cycloq._kron_mul``, the kernel that also multiplies single
+cyclotomic numbers; ``_sparse`` stores each coefficient at its conductor.
+Every inverse is Newton iteration on the same kernel, and every power binary
+powering on it: one ``_dense``, squares and products of the one flat list
+(numerators and denominator divided by their gcd after each), and one
+``_sparse``.  As cyclotomic values are stored at their conductors, the field the
+kernel works in does not show in the result.
 
 Powers and inverses run over the field of the unit-free series: when the
 lowest coefficient is lambda*e(t), lambda rational, the series is rotated by
@@ -30,9 +31,7 @@ import json
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
-from .cycloq import (
-    Cyclotomic, _conductor, _lowest_terms, _poly_divmod, cyclotomic_polynomial, euler_phi, unit_angle,
-)
+from .cycloq import Cyclotomic, _conductor, _kron_mul, _lowest_terms, euler_phi, unit_angle
 
 
 class TruncationError(ValueError):
@@ -411,64 +410,6 @@ def _sparse(xs: list[int], den: int, M: int, g: int, shift: int) -> dict:
             f, ys = _conductor(M, block)
             out[at // phi * g + shift] = Cyclotomic(f, ys, True, den)
     return out
-
-
-def _kron_mul(xa: list[int], xb: list[int], n: int, M: int) -> list[int]:
-    """The first n slots of the product of two flat integer coordinate lists over Q(zeta_M),
-    each output slot reduced mod Phi_M, by one big-int product (Kronecker substitution).
-
-    Slot s, coordinate j goes to field s*(2*phi - 1) + j of one signed integer, so the
-    coordinates of a product of two slots, of degree up to 2*phi - 2 in zeta, never overlap
-    the next slot's.  An output field sums at most min(#A, #B)*phi products of one coordinate
-    of each side, so its width (with a sign bit) covers every value it can hold.
-    """
-    phi = euler_phi(M)
-    ma, mb = max(map(abs, xa), default=0), max(map(abs, xb), default=0)
-    if not ma or not mb:
-        return [0] * (n * phi)
-    terms = min(_occupied(xa, phi), _occupied(xb, phi))
-    bits = ma.bit_length() + mb.bit_length() + (terms * phi).bit_length() + 1
-    width = -(-bits // 8)
-    stride = 2 * phi - 1
-    X = _pack(xa, phi, stride, width)
-    P = X * X if xb is xa else X * _pack(xb, phi, stride, width)
-    # Adding 2^(w-1) to every wanted field makes each one a digit in [0, 2^w): no borrows.
-    size = n * stride * width
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * (n * stride), "little")
-    raw = ((P + offset) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    half = 1 << (8 * width - 1)
-    vals = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
-    if phi == 1:
-        return vals
-    mod = cyclotomic_polynomial(M)
-    out = []
-    for at in range(0, len(vals), stride):
-        block = vals[at : at + stride]
-        out += _poly_divmod(block, mod)[1] if any(block) else [0] * phi
-    return out
-
-
-def _occupied(xs: list[int], phi: int) -> int:
-    """The number of nonzero slots of a flat coordinate list."""
-    if phi == 1:
-        return len(xs) - xs.count(0)
-    return sum(1 for at in range(0, len(xs), phi) if any(xs[at : at + phi]))
-
-
-def _pack(xs: list[int], phi: int, stride: int, width: int) -> int:
-    """sum of xs[s*phi + j] * 2^(8*width*(s*stride + j)), built from byte strings of the
-    positive and the negative coordinates."""
-    pos = bytearray(len(xs) // phi * stride * width)
-    neg = bytearray(len(pos))
-    for i, x in enumerate(xs):
-        if x:
-            s, j = divmod(i, phi)
-            at = (s * stride + j) * width
-            if x > 0:
-                pos[at : at + width] = x.to_bytes(width, "little")
-            else:
-                neg[at : at + width] = (-x).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def product_family(factors, trunc) -> PuiseuxSeries:

@@ -1,12 +1,14 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import zip_longest
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import modunits
@@ -15,8 +17,6 @@ from modunits.cycloq import (
     CyclotomicDivisionError,
     _crt_split,
     _poly_divmod,
-    _poly_modular_inverse,
-    _poly_mul,
     cyclotomic_polynomial,
     e_of,
     euler_phi,
@@ -169,7 +169,7 @@ def test_lift_compares_and_hashes_equal(x, k):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_inverse_and_division_round_trip(data):
-    # At most 12 terms: inverting a dense element of degree near 60 takes seconds.
+    # At most 12 terms; test_dense_wide_inverse_round_trip draws up to phi(order).
     order = data.draw(orders)
     a = data.draw(elements(order, max_terms=12))
     b = data.draw(elements(order, max_terms=12).filter(lambda c: not c.is_zero()))
@@ -188,10 +188,58 @@ def test_long_coefficient_list_reduces_like_powers_of_zeta(order, coeffs):
     assert Cyclotomic(order, coeffs) == horner
 
 
+# Oracles: the schoolbook product of coordinate lists and the extended Euclidean algorithm over
+# Fractions, with its own long division by a divisor that need not be monic.  The library
+# multiplies by Kronecker substitution and inverts by conjugates instead.
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def poly_divmod(num, den):
+    """num = quo*den + rem, deg rem < deg den, on ascending lists; trailing zeros of den skipped."""
+    dd = max(i for i, c in enumerate(den) if c)
+    lead = den[dd]
+    low = [(i, c) for i, c in enumerate(den[:dd]) if c]
+    rem = list(num)
+    quo = [0] * (len(rem) - dd)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + dd]
+        if c:
+            if lead != 1:
+                c = c / lead
+            quo[k] = c
+            for i, x in low:
+                rem[k + i] -= c * x
+    del rem[dd:]
+    return quo, rem
+
+
+def poly_modular_inverse(a, modulus):
+    """Inverse of a modulo a monic polynomial, by the extended Euclidean algorithm."""
+    # Invariant: r0 = s0*a (mod modulus), r1 = s1*a (mod modulus).
+    r0, r1 = modulus, a
+    s0, s1 = [F(0)], [F(1)]
+    while any(r1[1:]):
+        q, rem = poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        qs1 = poly_mul(q, s1)
+        s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs1, fillvalue=F(0))]
+    c = r1[0]
+    return [x / c for x in s1]
+
+
 def lifted_product(x, y):
     """x * y by lifting both sides to the compositum and multiplying coordinate lists."""
     m = lcm(x.order, y.order)
-    return Cyclotomic(m, _poly_mul(x.lifted_coeffs(m), y.lifted_coeffs(m)))
+    return Cyclotomic(m, poly_mul(x.lifted_coeffs(m), y.lifted_coeffs(m)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,11 +358,11 @@ def test_known_conductors(built, order):
 
 
 # Multiples lambda*e(t) of roots of unity: found by unit_angle, rotated by shifts, inverted as
-# e(-t)/lambda instead of by extended Euclid.
+# e(-t)/lambda instead of by conjugates; extended Euclid is the oracle.
 
 
 def euclid_inverse(x):
-    return Cyclotomic(x.order, _poly_modular_inverse(list(x.coeffs), cyclotomic_polynomial(x.order)))
+    return Cyclotomic(x.order, poly_modular_inverse(list(x.coeffs), cyclotomic_polynomial(x.order)))
 
 
 @pytest.mark.parametrize("f", range(1, 121))
@@ -362,7 +410,8 @@ def test_rotation_is_the_product_by_e_of(x, den, k):
 
 # Representation: integer numerators over one positive denominator, no common factor, at the
 # conductor.  The oracle is the arithmetic on one Fraction per coordinate that it replaced: lift
-# to the compositum, multiply by _poly_mul, reduce mod Phi, and find the conductor on Fractions.
+# to the compositum, multiply by the schoolbook poly_mul, reduce mod Phi, find the conductor on
+# Fractions, and invert by extended Euclid.
 
 
 def ref_reduce(order, coords):
@@ -417,7 +466,7 @@ def ref_add(x, y):
 
 def ref_mul(x, y):
     m = lcm(x[0], y[0])
-    return ref_canonical(m, _poly_mul(ref_lift(x, m), ref_lift(y, m)))
+    return ref_canonical(m, poly_mul(ref_lift(x, m), ref_lift(y, m)))
 
 
 def ref_rotate(x, t):
@@ -428,7 +477,7 @@ def ref_inverse(x):
     order, coords = x
     if order == 1:
         return 1, (1 / coords[0],)
-    return ref_canonical(order, _poly_modular_inverse(list(coords), cyclotomic_polynomial(order)))
+    return ref_canonical(order, poly_modular_inverse(list(coords), cyclotomic_polynomial(order)))
 
 
 def stored(x):
@@ -496,3 +545,61 @@ def test_inverse_matches_the_fraction_oracle(data):
     if data.draw(st.booleans()):  # lambda * e(t): the rotation path
         x = Cyclotomic.from_rational(coords[0] or 1) * e_of(F(data.draw(st.integers(0, 59)), 60))
     assert stored(x.inverse()) == ref_inverse(stored(x))
+
+
+# Inverses by conjugates beyond the Euclid oracle's reach: wide numerators over wide denominators,
+# and dense elements of large degree, on which extended Euclid took 1.5-30 s each.
+
+
+def sparse_wide(order, rng):
+    """Three nonzero coordinates, 16-bit numerators over 64-bit denominators."""
+    coords = [F(0)] * euler_phi(order)
+    for i in rng.sample(range(len(coords)), 3):
+        coords[i] = F(rng.choice((1, -1)) * rng.randrange(2**15, 2**16), rng.randrange(2**63, 2**64))
+    return Cyclotomic(order, coords)
+
+
+def dense_small(order, rng):
+    """Every coordinate a/b, |a| <= 5, b <= 4."""
+    return Cyclotomic(order, [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(euler_phi(order))])
+
+
+@pytest.mark.parametrize(
+    "build, order, double",
+    [(sparse_wide, 47, False), (sparse_wide, 59, False), (dense_small, 59, True), (dense_small, 77, True),
+     (dense_small, 288, False)],
+)
+def test_wide_inverses(build, order, double):
+    x = build(order, random.Random(order))
+    assert x.order == order
+    inv = x.inverse()
+    assert x * inv == 1
+    t = F(1, order)
+    assert (-x).inverse() == -inv and x.rotated(t).inverse() == inv.rotated(-t)
+    # The conjugates of an inverse are (phi - 1) times as wide as its own coordinates: inverting it
+    # again takes 10-70 s at the sparse orders and at 288, so only the dense 59 and 77 do.
+    if double:
+        assert inv.inverse() == x
+
+
+@seed(3301)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dense_wide_inverse_round_trip(data):
+    order = data.draw(orders)
+    coord = st.one_of(small_fractions, wide_fractions)
+    phi = euler_phi(order)
+    x = Cyclotomic(order, data.draw(st.lists(coord, min_size=(phi + 1) // 2, max_size=phi)))
+    if not x.is_zero():
+        assert x * x.inverse() == 1
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 64, 200])
+@pytest.mark.parametrize("order", [5, 12, 35, 60])
+def test_products_at_the_slot_bound(bits, order):
+    # Every coordinate is +-(2^b - 1), the largest a slot of that width holds.
+    big = 2**bits - 1
+    x = Cyclotomic(order, [big] * euler_phi(order))
+    y = Cyclotomic(order, [big * (-1) ** i for i in range(euler_phi(order))])
+    for a, b in ((x, x), (x, y), (y, y), (-x, y)):
+        assert stored(a * b) == ref_mul(stored(a), stored(b))
